@@ -62,6 +62,9 @@ SVC_PID=0
 rm -rf "$SVC_DIR"
 trap - EXIT
 
+echo "== benchmark self-test (committed JobDriver digests, every workload) =="
+python3 perfbench/selftest.py
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -45,7 +45,8 @@ fn bench_single_rollout(c: &mut Criterion) {
     g.bench_function("single_injection_4x4", |b| {
         b.iter(|| {
             i = (i + 37) % sites.len();
-            black_box(campaign.run_site(sites[i]).fault_hits)
+            let spec = fault::FaultSpec::transient(sites[i], campaign.injection_cycle());
+            black_box(campaign.run_spec_in(&mut campaign.arena(), spec).fault_hits)
         });
     });
     g.finish();

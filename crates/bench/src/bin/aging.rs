@@ -20,9 +20,9 @@
 //! a four-row cut) with the same acceptance bar.
 //!
 //! With `--checkpoint-dir`, every settled epoch row is appended to
-//! `epochs.jsonl` and flushed immediately through [`golden::EpochLog`]
-//! (the same shard substrate the campaign checkpoints and `nocalertd`
-//! jobs use); `--resume` re-simulates the stored prefix
+//! `shard-w0.jsonl` and flushed immediately through a [`golden::Journal`]
+//! (the same journal the campaign checkpoints and `nocalertd` jobs
+//! use); `--resume` re-simulates the stored prefix
 //! deterministically and *verifies each recomputed row is bit-identical*
 //! (including the fault-region state digest) before continuing — a
 //! diverging checkpoint is a fatal error, not a silent fork. A
@@ -30,10 +30,9 @@
 //! overwritten.
 
 use golden::{
-    AgingError, AgingHarness, AgingOptions, AgingOutcome, AgingReport, EpochLog, EpochReport,
+    AgingError, AgingHarness, AgingOptions, AgingOutcome, AgingReport, EpochReport, Journal,
 };
 use nocalert_bench::{maybe_write_json, row, Args};
-use std::path::Path;
 
 fn fail(msg: &str) -> ! {
     eprintln!("[aging] fatal: {msg}");
@@ -163,11 +162,14 @@ fn main() {
         opts.cut_column,
     );
 
-    let (prior, mut log): (Vec<EpochReport>, Option<EpochLog>) = match args.str("checkpoint-dir") {
-        Some(d) => match EpochLog::open(Path::new(d), &opts, args.flag("resume")) {
-            Ok((prior, log)) => (prior, Some(log)),
-            Err(e) => fail(&format!("checkpoint: {e}")),
-        },
+    let (prior, mut log) = match args.str("checkpoint-dir") {
+        Some(d) => {
+            let opened = Journal::<AgingOptions, EpochReport>::open(d, &opts).and_then(|j| {
+                let (prior, _torn) = j.load(args.flag("resume"))?;
+                Ok((prior, Some(j.writer(0)?)))
+            });
+            opened.unwrap_or_else(|e| fail(&format!("checkpoint: {e}")))
+        }
         None => (Vec::new(), None),
     };
     if !prior.is_empty() {

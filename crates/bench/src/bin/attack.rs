@@ -27,9 +27,9 @@
 
 use fault::Watchdog;
 use golden::{
-    standard_cells, AttackCampaign, AttackCampaignConfig, AttackCampaignOptions,
-    AttackCampaignReport, AttackCell, AttackClass, AttackHarness, RecoveryHarness, RecoveryOptions,
-    RecoveryOutcome,
+    standard_cells, AttackCampaign, AttackCampaignConfig, AttackCell, AttackCellReport,
+    AttackClass, AttackHarness, RecoveryHarness, RecoveryOptions, RecoveryOutcome,
+    ResilienceOptions, SweepReport,
 };
 use noc_types::{AttackKind, NocConfig};
 use nocalert_bench::{maybe_write_json, row, Args};
@@ -150,8 +150,8 @@ struct Report {
     crashed: u64,
 }
 
-fn campaign_opts(args: &Args) -> AttackCampaignOptions {
-    AttackCampaignOptions {
+fn campaign_opts(args: &Args) -> ResilienceOptions {
+    ResilienceOptions {
         checkpoint_dir: args.str("checkpoint-dir").map(PathBuf::from),
         resume: args.flag("resume"),
         cancel: None,
@@ -168,7 +168,11 @@ fn baseline_overhead(noc: &NocConfig, opts: RecoveryOptions) -> f64 {
     harness.run(None).overhead_per_message()
 }
 
-fn print_report(report: &AttackCampaignReport, rows: &[(String, u32, MatrixRow)], baseline: f64) {
+fn print_report(
+    report: &SweepReport<AttackCellReport>,
+    rows: &[(String, u32, MatrixRow)],
+    baseline: f64,
+) {
     println!(
         "\n{:<18} {:>5} | {:>8} {:>8} {:>8} {:>8} {:>8} | {:>16} {:>9}",
         "model",
@@ -205,7 +209,7 @@ fn print_report(report: &AttackCampaignReport, rows: &[(String, u32, MatrixRow)]
     );
 }
 
-fn aggregate(report: &AttackCampaignReport) -> Vec<(String, u32, MatrixRow)> {
+fn aggregate(report: &SweepReport<AttackCellReport>) -> Vec<(String, u32, MatrixRow)> {
     let mut rows: Vec<(String, u32, MatrixRow)> = Vec::new();
     for cr in &report.reports {
         let label = kind_label(cr.cell.spec.kind).to_string();

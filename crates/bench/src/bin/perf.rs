@@ -70,7 +70,7 @@ struct Metrics {
     /// scalar engine, so the trajectory is continuous.
     campaign_runs_per_sec_8x8_2vc: f64,
     /// The same rollouts forced through the per-run scalar engine
-    /// ([`golden::Campaign::run_site`]); the batched-vs-scalar ratio is
+    /// ([`golden::Campaign::run_spec_in`]); the batched-vs-scalar ratio is
     /// the engine's standalone speedup.
     campaign_runs_per_sec_8x8_2vc_scalar: f64,
     /// Cycles stepped per mesh for the cycles/sec figures.
@@ -248,12 +248,13 @@ fn measure_campaign(runs: usize, runs_scalar: usize, reps: usize) -> (f64, f64) 
     // engine, reusing one arena the way the worker loop does.
     let sites = fault::sample::stride(&universe, runs_scalar);
     let mut arena = campaign.arena();
-    let _ = campaign.run_site_in(&mut arena, sites[0]);
+    let spec = |site| fault::FaultSpec::transient(site, campaign.injection_cycle());
+    let _ = campaign.run_spec_in(&mut arena, spec(sites[0]));
     let mut scalar = f64::MIN;
     for _ in 0..reps {
         let t0 = Instant::now();
         for &site in &sites {
-            let _ = campaign.run_site_in(&mut arena, site);
+            let _ = campaign.run_spec_in(&mut arena, spec(site));
         }
         scalar = scalar.max(sites.len() as f64 / t0.elapsed().as_secs_f64());
     }

@@ -43,7 +43,7 @@
 use fault::{FaultSpec, Watchdog};
 use golden::{
     containment_covered, DeliveryVerdict, RecoveryCampaign, RecoveryCampaignConfig,
-    RecoveryCampaignOptions, RecoveryHarness, RecoveryOptions, RecoveryRun,
+    RecoveryHarness, RecoveryOptions, RecoveryRun, ResilienceOptions,
 };
 use noc_types::{NocConfig, SiteRef};
 use nocalert_bench::{maybe_write_json, row, Args};
@@ -228,7 +228,7 @@ fn sweep(args: &Args) -> i32 {
                 .map(move |class| spec_for(class, site, start, period, duty))
         })
         .collect();
-    let copts = RecoveryCampaignOptions {
+    let copts = ResilienceOptions {
         checkpoint_dir: args.str("checkpoint-dir").map(PathBuf::from),
         resume: args.flag("resume"),
         cancel: None,

@@ -73,9 +73,9 @@ pub struct Experiment {
     pub checkpoint_dir: Option<PathBuf>,
     /// Skip sites already completed in the checkpoint (`--resume`).
     pub resume: bool,
-    /// Hang-detection policy override (`--cycle-budget` /
-    /// `--stall-window`); `None` keeps [`Watchdog::default_policy`].
-    pub watchdog: Option<Watchdog>,
+    /// Hang-detection policy: [`Watchdog::default_policy`] with any
+    /// `--cycle-budget` / `--stall-window` override applied.
+    pub watchdog: Watchdog,
 }
 
 impl Experiment {
@@ -105,20 +105,15 @@ impl Experiment {
                 .map(|n| n.get())
                 .unwrap_or(4),
         );
-        let watchdog = if args.str("cycle-budget").is_some() || args.str("stall-window").is_some() {
-            let defaults = Watchdog::default_policy();
-            let dog = Watchdog {
-                cycle_budget: args.get("cycle-budget", defaults.cycle_budget),
-                stall_window: args.get("stall-window", defaults.stall_window),
-            };
-            if let Err(e) = dog.validate() {
-                eprintln!("[args] {e}");
-                std::process::exit(2);
-            }
-            Some(dog)
-        } else {
-            None
+        let defaults = Watchdog::default_policy();
+        let watchdog = Watchdog {
+            cycle_budget: args.get("cycle-budget", defaults.cycle_budget),
+            stall_window: args.get("stall-window", defaults.stall_window),
         };
+        if let Err(e) = watchdog.validate() {
+            eprintln!("[args] {e}");
+            std::process::exit(2);
+        }
         Experiment {
             noc,
             sites,
@@ -149,7 +144,6 @@ impl Experiment {
     /// flushes instead).
     pub fn resilience(&self, phase: &str) -> ResilienceOptions {
         ResilienceOptions {
-            watchdog: self.watchdog,
             checkpoint_dir: self.checkpoint_dir.as_ref().map(|d| d.join(phase)),
             resume: self.resume,
             cancel: self.checkpoint_dir.as_ref().map(|d| {
@@ -180,7 +174,7 @@ impl Experiment {
         phase: &str,
     ) -> Vec<RunResult> {
         let opts = self.resilience(phase);
-        let report = match campaign.run_many_resilient(specs, self.threads, &opts) {
+        let report = match campaign.run_many_resilient(specs, self.threads, self.watchdog, &opts) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("[campaign] fatal: {e}");
@@ -297,18 +291,23 @@ mod tests {
         let mut a = Args::default();
         a.map.insert("cycle-budget".into(), "50000".into());
         let e = Experiment::from_args(&a);
-        let dog = e.watchdog.unwrap_or_else(Watchdog::default_policy);
-        assert_eq!(dog.cycle_budget, 50_000);
-        assert_eq!(dog.stall_window, Watchdog::default_policy().stall_window);
+        assert_eq!(e.watchdog.cycle_budget, 50_000);
+        assert_eq!(
+            e.watchdog.stall_window,
+            Watchdog::default_policy().stall_window
+        );
 
         let mut b = Args::default();
         b.map.insert("stall-window".into(), "750".into());
         let e = Experiment::from_args(&b);
-        let dog = e.watchdog.unwrap_or_else(Watchdog::default_policy);
-        assert_eq!(dog.stall_window, 750);
+        assert_eq!(e.watchdog.stall_window, 750);
 
         let none = Experiment::from_args(&Args::default());
-        assert!(none.watchdog.is_none(), "no flags → library default policy");
+        assert_eq!(
+            none.watchdog,
+            Watchdog::default_policy(),
+            "no flags → library default policy"
+        );
     }
 
     #[test]
@@ -319,7 +318,7 @@ mod tests {
             threads: 1,
             checkpoint_dir: None,
             resume: false,
-            watchdog: None,
+            watchdog: Watchdog::default_policy(),
         };
         assert_eq!(e.site_list().len(), 50);
         let full = Experiment {

@@ -256,20 +256,8 @@ pub fn rollout<O: Observer>(
     drain_deadline: Cycle,
     obs: &mut O,
 ) -> RolloutOutcome {
-    if let Some(s) = spec {
-        net.arm_fault(s.site, s.kind, s.start);
-    } else {
-        net.disarm_fault();
-    }
-    for _ in 0..active_window {
-        net.step_observed(obs);
-    }
-    let drained = net.drain(obs, drain_deadline);
-    RolloutOutcome {
-        drained,
-        fault_hits: net.fault_hits(),
-        end_cycle: net.cycle(),
-    }
+    let dog = Watchdog::OFF;
+    rollout_watched(net, spec, active_window, drain_deadline, dog, obs).outcome
 }
 
 /// Hang-detection policy for [`rollout_watched`].
@@ -287,6 +275,12 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
+    /// No hang detection: rollouts run to their drain deadline.
+    pub const OFF: Watchdog = Watchdog {
+        cycle_budget: u64::MAX,
+        stall_window: u64::MAX,
+    };
+
     /// A generous default: stall detection after 2,000 idle cycles, no
     /// practical cycle ceiling.
     pub fn default_policy() -> Watchdog {
@@ -396,43 +390,7 @@ pub fn rollout_watched<O: Observer>(
 
     let mut drained = false;
     if hang.is_none() {
-        net.set_injection_enabled(false);
-        let drain_end = net.cycle() + drain_deadline;
-        let mut sig = net.progress_signature();
-        let mut stalled: Cycle = 0;
-        loop {
-            if net.is_drained() {
-                drained = true;
-                break;
-            }
-            if net.cycle() >= drain_end {
-                break; // classic drain-deadline expiry, not a watchdog trip
-            }
-            if net.cycle() >= budget_end {
-                hang = Some(Hang {
-                    kind: HangKind::CycleBudget,
-                    at_cycle: net.cycle(),
-                    stalled_for: stalled,
-                });
-                break;
-            }
-            if stalled >= dog.stall_window {
-                hang = Some(Hang {
-                    kind: HangKind::NoProgress,
-                    at_cycle: net.cycle(),
-                    stalled_for: stalled,
-                });
-                break;
-            }
-            net.step_observed(obs);
-            let now = net.progress_signature();
-            if now == sig {
-                stalled += 1;
-            } else {
-                sig = now;
-                stalled = 0;
-            }
-        }
+        (drained, hang) = drain_watched(net, drain_deadline, budget_end, dog.stall_window, obs);
     }
 
     WatchedOutcome {
@@ -442,6 +400,84 @@ pub fn rollout_watched<O: Observer>(
             end_cycle: net.cycle(),
         },
         hang,
+    }
+}
+
+/// Counts consecutive progress-free cycles: cycles after which the
+/// network's progress signature (injected/forwarded/ejected counters) is
+/// unchanged. The one hang criterion every watched drain shares.
+#[derive(Debug, Clone, Copy)]
+pub struct StallMeter {
+    sig: (u64, u64, u64),
+    stalled: Cycle,
+}
+
+impl StallMeter {
+    /// A meter starting from `net`'s current signature, with no stall.
+    pub fn new(net: &Network) -> StallMeter {
+        StallMeter {
+            sig: net.progress_signature(),
+            stalled: 0,
+        }
+    }
+
+    /// Records one stepped cycle and returns the updated stall count.
+    pub fn observe(&mut self, net: &Network) -> Cycle {
+        let now = net.progress_signature();
+        if now == self.sig {
+            self.stalled += 1;
+        } else {
+            self.sig = now;
+            self.stalled = 0;
+        }
+        self.stalled
+    }
+
+    /// Consecutive progress-free cycles so far.
+    pub fn stalled(&self) -> Cycle {
+        self.stalled
+    }
+}
+
+/// The drain phase of [`rollout_watched`]: stops traffic generation and
+/// steps until the network drains, `drain_deadline` cycles pass (a plain
+/// deadline expiry, not a hang), the absolute cycle `budget_end` is
+/// reached, or nothing moves for `stall_window` cycles. Returns whether
+/// the network drained and the watchdog trip, if any.
+pub fn drain_watched<O: Observer>(
+    net: &mut Network,
+    drain_deadline: Cycle,
+    budget_end: Cycle,
+    stall_window: Cycle,
+    obs: &mut O,
+) -> (bool, Option<Hang>) {
+    net.set_injection_enabled(false);
+    let drain_end = net.cycle() + drain_deadline;
+    let mut meter = StallMeter::new(net);
+    loop {
+        if net.is_drained() {
+            return (true, None);
+        }
+        if net.cycle() >= drain_end {
+            return (false, None);
+        }
+        let trip = if net.cycle() >= budget_end {
+            Some(HangKind::CycleBudget)
+        } else if meter.stalled() >= stall_window {
+            Some(HangKind::NoProgress)
+        } else {
+            None
+        };
+        if let Some(kind) = trip {
+            let hang = Hang {
+                kind,
+                at_cycle: net.cycle(),
+                stalled_for: meter.stalled(),
+            };
+            return (false, Some(hang));
+        }
+        net.step_observed(obs);
+        meter.observe(net);
     }
 }
 

@@ -41,26 +41,32 @@
 //! exactly-once bar. Any other loss, duplicate or unexcused give-up
 //! fails the epoch.
 //!
+//! The simulation is the shared `closed_loop` driver with the
+//! plain hook; the epoch schedule lives here. Its settle step is the
+//! shared watched drain, classified aging's way: a quiescent transport
+//! over a stalled network is *settled* (permanents may pin flits in
+//! fenced buffers forever — contained residue, not a liveness failure),
+//! and only an exhausted budget with the transport still pending is a
+//! stall.
+//!
 //! **Resume.** [`AgingHarness::run`] takes the previously checkpointed
 //! rows and re-simulates the prefix deterministically, asserting each
 //! recomputed row — including the [`EpochReport::region_digest`] pinning
 //! the fault-region routing state — is bit-identical to the stored one.
 //! Divergence (a changed binary, a foreign checkpoint) is an error, not
-//! a silent fork.
+//! a silent fork. Rows are checkpointed in a [`crate::Journal`] pinned to
+//! the [`AgingOptions`], one worker shard (`shard-w0.jsonl`).
 
-use crate::campaign::jsonl;
-use crate::campaign::CampaignError;
+use crate::closed_loop::ClosedLoop;
 use crate::recovery::{containment_covered, DeliveryVerdict};
 use fault::Watchdog;
 use noc_sim::{ArqConfig, Network, RecoveryPolicy, RecoveryStats, Transport};
 use noc_types::{
     Coord, Cycle, Direction, FaultKind, NocConfig, NodeId, RoutingAlgorithm, SimError, SiteRef,
 };
-use nocalert::{info, AlertBank};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::path::Path;
 
 /// Everything configurable about one aging campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -481,31 +487,13 @@ impl AgingHarness {
     ) -> Result<AgingReport, AgingError> {
         let opts = &self.opts;
         let plan = self.plan();
-        let mut net = Network::new(opts.noc.clone());
-        net.enable_recovery(opts.policy);
-        let mut bank = AlertBank::new(&opts.noc);
-        // The full bank stays armed across epochs: region detours are
-        // excused per RC execution by the region-aware turn/progress
-        // checkers, which stay live for misroutes inside the detours.
-        let mut transport = Transport::new(&opts.noc, opts.arq);
-        let mut consumed = 0usize;
-
-        while net.cycle() < opts.warmup {
-            step_once(&mut net, &mut bank, &mut transport, &mut consumed);
-        }
+        let mut lp = ClosedLoop::new(&opts.noc, opts.policy, opts.arq);
+        lp.run_until(opts.warmup, Cycle::MAX, &mut ());
 
         let mut cursor = Cursor::default();
         let mut epochs: Vec<EpochReport> = Vec::with_capacity(plan.len());
         for (i, fault) in plan.into_iter().enumerate() {
-            let report = self.run_epoch(
-                i as u32,
-                fault,
-                &mut net,
-                &mut bank,
-                &mut transport,
-                &mut consumed,
-                &mut cursor,
-            );
+            let report = self.run_epoch(i as u32, fault, &mut lp, &mut cursor);
             if let Some(stored) = prior.get(i) {
                 if *stored != report {
                     return Err(AgingError::ResumeDivergence { epoch: i as u32 });
@@ -524,65 +512,50 @@ impl AgingHarness {
 
     /// One epoch: introduce the fault, run the measurement window, settle,
     /// and aggregate the deltas into a row.
-    #[allow(clippy::too_many_arguments)]
     fn run_epoch(
         &self,
         epoch: u32,
         fault: EpochFault,
-        net: &mut Network,
-        bank: &mut AlertBank,
-        transport: &mut Transport,
-        consumed: &mut usize,
+        lp: &mut ClosedLoop,
         cursor: &mut Cursor,
     ) -> EpochReport {
         let opts = &self.opts;
-        let start_cycle = net.cycle();
+        let start_cycle = lp.net.cycle();
         match fault {
             EpochFault::Organic { site, kind } => {
-                net.arm_extra_fault(site, kind, start_cycle + opts.fault_offset);
+                lp.net
+                    .arm_extra_fault(site, kind, start_cycle + opts.fault_offset);
             }
             EpochFault::Cut { router, dir } => {
-                net.sever_link(router, dir);
+                lp.net.sever_link(router, dir);
             }
             EpochFault::Quarantine { router } => {
-                net.quarantine_router(router);
+                lp.net.quarantine_router(router);
             }
         }
 
-        net.set_injection_enabled(true);
+        lp.net.set_injection_enabled(true);
         let active_end = start_cycle + opts.epoch_window;
-        while net.cycle() < active_end {
-            step_once(net, bank, transport, consumed);
-        }
+        lp.run_until(active_end, Cycle::MAX, &mut ());
+        // Settled: the transport has nothing pending and the network
+        // either drained or froze into its quarantined steady state
+        // (permanents may pin garbage flits in fenced buffers forever —
+        // that residue is contained, not a liveness failure). Both stops
+        // imply a quiescent transport, so the epoch stalled out exactly
+        // when the per-epoch budget ran out with messages still pending.
+        let stop = lp.drain(
+            active_end + opts.watchdog.cycle_budget,
+            opts.watchdog.stall_window,
+            &mut (),
+        );
+        let stalled_out = !stop.quiescent;
 
-        net.set_injection_enabled(false);
-        let budget_end = active_end + opts.watchdog.cycle_budget;
-        let mut sig = net.progress_signature();
-        let mut stalled: Cycle = 0;
-        let mut stalled_out = false;
-        loop {
-            // Settled: the transport has nothing pending and the network
-            // either drained or froze into its quarantined steady state
-            // (permanents may pin garbage flits in fenced buffers forever
-            // — that residue is contained, not a liveness failure).
-            if transport.quiescent() && (net.is_drained() || stalled >= opts.watchdog.stall_window)
-            {
-                break;
-            }
-            if net.cycle() >= budget_end {
-                stalled_out = !transport.quiescent();
-                break;
-            }
-            step_once(net, bank, transport, consumed);
-            let now = net.progress_signature();
-            if now == sig {
-                stalled += 1;
-            } else {
-                sig = now;
-                stalled = 0;
-            }
-        }
-
+        let ClosedLoop {
+            net,
+            bank,
+            transport,
+            ..
+        } = lp;
         let (delta, orphans) = cursor.advance(transport, net);
         let exactly_once = !stalled_out
             && delta.duplicates == 0
@@ -625,26 +598,6 @@ impl AgingHarness {
             outcome,
         }
     }
-}
-
-/// One closed-loop cycle, identical to the recovery harness's: step the
-/// network under the checker bank and transport, feed fresh alerts to
-/// containment, let the transport fabricate control packets.
-fn step_once(
-    net: &mut Network,
-    bank: &mut AlertBank,
-    transport: &mut Transport,
-    consumed: &mut usize,
-) {
-    net.step_observed(&mut (&mut *bank, &mut *transport));
-    let fresh = bank.events_since(*consumed);
-    *consumed = bank.assertions().len();
-    for ev in fresh {
-        if let Some(module) = info(ev.checker).module {
-            net.notify_alert(ev.router, ev.port, ev.vc, module.port_is_output());
-        }
-    }
-    transport.post_step(net);
 }
 
 /// Per-epoch transport deltas.
@@ -704,62 +657,6 @@ impl Cursor {
         }
         self.failed_seen = transport.failed().len();
         (delta, orphans)
-    }
-}
-
-/// The aging campaign's durable epoch log: `meta.json` pins the
-/// [`AgingOptions`], `epochs.jsonl` holds one [`EpochReport`] per line,
-/// appended and flushed as each epoch settles. Durability semantics are
-/// the shared [`jsonl`] substrate's (torn tails repaired, mid-file
-/// corruption refused, mismatched configurations refused) — resume feeds
-/// the loaded rows to [`AgingHarness::run`], which re-simulates the
-/// prefix and verifies each row bit-for-bit.
-#[derive(Debug)]
-pub struct EpochLog {
-    appender: jsonl::Appender,
-}
-
-impl EpochLog {
-    /// Opens (creating if needed) an epoch-log directory pinned to
-    /// `opts`, returning previously completed rows plus the append
-    /// handle. Without `resume`, a directory that already holds rows is
-    /// refused.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Checkpoint`] on I/O failures or a populated
-    /// directory without `resume`, [`CampaignError::CheckpointMismatch`]
-    /// for a foreign configuration, [`CampaignError::ShardCorrupt`] for
-    /// mid-file damage.
-    pub fn open(
-        dir: &Path,
-        opts: &AgingOptions,
-        resume: bool,
-    ) -> Result<(Vec<EpochReport>, EpochLog), CampaignError> {
-        jsonl::ensure_meta(dir, 1, opts)?;
-        let path = dir.join("epochs.jsonl");
-        let (rows, _torn) = jsonl::load_file::<EpochReport>(&path)?;
-        if !resume && !rows.is_empty() {
-            return Err(CampaignError::Checkpoint {
-                path: dir.to_path_buf(),
-                detail: format!(
-                    "directory already holds {} completed epochs; pass resume=true to continue or point at a fresh directory",
-                    rows.len()
-                ),
-            });
-        }
-        let appender = jsonl::Appender::open(&path)?;
-        Ok((rows, EpochLog { appender }))
-    }
-
-    /// Appends one settled epoch and flushes it — the log's kill-safety
-    /// granularity.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Checkpoint`] on serialization or I/O failures.
-    pub fn append(&mut self, row: &EpochReport) -> Result<(), CampaignError> {
-        self.appender.append(row)
     }
 }
 

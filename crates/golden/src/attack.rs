@@ -31,22 +31,26 @@
 //! alert-to-containment wire of the compromised router without touching
 //! the bank's record — detection stands, reaction is what the attacker
 //! starves.
+//!
+//! The rollout is the shared `closed_loop` driver with an
+//! attacker hook: alert suppression, intent execution and suspicion
+//! feedback run inside its per-cycle step. [`AttackCampaign`] sweeps
+//! matrix cells through the shared checkpointed sweep driver
+//! ([`crate::campaign::sweep`]).
 
-use crate::campaign::jsonl;
 use crate::campaign::resilience::catch_payload;
+use crate::campaign::sweep::{sweep, ResilienceOptions, SweepReport};
 use crate::campaign::CampaignError;
+use crate::closed_loop::{ClosedLoop, Hook};
 use crate::recovery::{verify_delivery, DeliveryVerdict, RecoveryOptions, RecoveryOutcome};
-use fault::{FaultSpec, Hang, HangKind};
+use fault::FaultSpec;
 use noc_sim::{
     AttackIntent, AttackStats, ControlCapture, Network, RecoveryStats, Transport, TransportStats,
 };
 use noc_types::{AttackKind, AttackSpec, Cycle, NocConfig, SimError};
-use nocalert::{info, AlertBank};
+use nocalert::AssertionEvent;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 /// Which mechanism accounts for an attack cell's outcome — exactly one
 /// bucket per (attacker model × site × intensity) cell of the matrix.
@@ -177,6 +181,34 @@ pub struct AttackRun {
 }
 
 impl AttackRun {
+    /// The placeholder for a cell whose rollout panicked with `panic`. A
+    /// crash is loud by construction, so it classifies as
+    /// [`AttackClass::CaughtByOracle`]; the bench still refuses to accept
+    /// crashed cells.
+    pub fn crashed(spec: AttackSpec, fault: Option<FaultSpec>, panic: String) -> AttackRun {
+        AttackRun {
+            spec,
+            fault,
+            class: AttackClass::CaughtByOracle,
+            outcome: RecoveryOutcome::Crashed(panic),
+            verdict: DeliveryVerdict::Violated {
+                undelivered: 0,
+                gave_up: 0,
+                duplicates: 0,
+            },
+            attack: AttackStats::default(),
+            transport: TransportStats::default(),
+            recovery: RecoveryStats::default(),
+            bank_alerts: 0,
+            suppressed_alerts: 0,
+            suspicions: 0,
+            intents_performed: 0,
+            intents_skipped: 0,
+            first_evidence_at: None,
+            end_cycle: 0,
+        }
+    }
+
     /// Cycles from the attacker going live to the first genuine
     /// detection evidence (`None` when nothing ever fired).
     pub fn detection_latency(&self) -> Option<Cycle> {
@@ -187,12 +219,7 @@ impl AttackRun {
     /// Wire overhead beyond one transmission per message, mirroring
     /// [`crate::recovery::RecoveryRun::overhead_per_message`].
     pub fn overhead_per_message(&self) -> f64 {
-        if self.transport.offered == 0 {
-            return 0.0;
-        }
-        let extra =
-            self.transport.retransmits + self.transport.acks_sent + self.transport.nacks_sent;
-        extra as f64 / self.transport.offered as f64
+        crate::recovery::overhead_per_message(&self.transport)
     }
 }
 
@@ -203,10 +230,11 @@ pub struct AttackHarness {
     opts: RecoveryOptions,
 }
 
-/// Mutable per-rollout accounting threaded through the step loop.
-#[derive(Debug, Default)]
-struct StepCtx {
-    consumed: usize,
+/// The attacker's per-cycle hook on the closed loop, plus the
+/// per-rollout accounting it keeps.
+struct AttackHook<'a> {
+    cfg: &'a NocConfig,
+    spec: &'a AttackSpec,
     bank_alerts: u64,
     suppressed: u64,
     suspicions: u64,
@@ -226,16 +254,6 @@ impl AttackHarness {
         Ok(AttackHarness { cfg, opts })
     }
 
-    /// The options the harness runs with.
-    pub fn options(&self) -> &RecoveryOptions {
-        &self.opts
-    }
-
-    /// The configuration rollouts execute under.
-    pub fn config(&self) -> &NocConfig {
-        &self.cfg
-    }
-
     /// The cycle at which the measurement window ends and draining begins.
     pub fn active_end(&self) -> Cycle {
         self.opts.warmup.saturating_add(self.opts.active_window)
@@ -251,86 +269,30 @@ impl AttackHarness {
     /// validation (nonexistent router, quarantined site, degenerate
     /// parameters) — a rejected cell is an error, not a matrix entry.
     pub fn run(&self, spec: &AttackSpec, fault: Option<&FaultSpec>) -> Result<AttackRun, SimError> {
-        let mut net = Network::new(self.cfg.clone());
-        net.enable_recovery(self.opts.policy);
-        let mut bank = AlertBank::new(&self.cfg);
-        // The full bank stays armed, as in the recovery harness: the
-        // turn/progress checkers are region-aware and excuse degraded
-        // routes per RC execution instead of disarming.
-        let mut transport = Transport::new(&self.cfg, self.opts.arq);
+        let mut lp = ClosedLoop::new(&self.cfg, self.opts.policy, self.opts.arq);
         if let Some(f) = fault {
-            f.validate_in(&net)?;
-            net.arm_fault(f.site, f.kind, f.start);
+            f.validate_in(&lp.net)?;
+            lp.net.arm_fault(f.site, f.kind, f.start);
         }
-        net.arm_attack(spec)?;
-
-        let dog = self.opts.watchdog;
-        let active_end = self.active_end();
-        let mut ctx = StepCtx::default();
-        let mut hang: Option<Hang> = None;
-
-        while net.cycle() < active_end {
-            if net.cycle() >= dog.cycle_budget {
-                hang = Some(Hang {
-                    kind: HangKind::CycleBudget,
-                    at_cycle: net.cycle(),
-                    stalled_for: 0,
-                });
-                break;
-            }
-            self.step_once(spec, &mut net, &mut bank, &mut transport, &mut ctx);
-        }
-
-        if hang.is_none() {
-            net.set_injection_enabled(false);
-            let mut sig = net.progress_signature();
-            let mut stalled: Cycle = 0;
-            loop {
-                if net.is_drained() && transport.quiescent() {
-                    break;
-                }
-                if net.cycle() >= dog.cycle_budget {
-                    hang = Some(Hang {
-                        kind: HangKind::CycleBudget,
-                        at_cycle: net.cycle(),
-                        stalled_for: stalled,
-                    });
-                    break;
-                }
-                if transport.quiescent() && stalled >= dog.stall_window {
-                    hang = Some(Hang {
-                        kind: HangKind::NoProgress,
-                        at_cycle: net.cycle(),
-                        stalled_for: stalled,
-                    });
-                    break;
-                }
-                self.step_once(spec, &mut net, &mut bank, &mut transport, &mut ctx);
-                let now = net.progress_signature();
-                if now == sig {
-                    stalled += 1;
-                } else {
-                    sig = now;
-                    stalled = 0;
-                }
-            }
-        }
-
-        let verdict = verify_delivery(&transport);
-        let partition = net
-            .fault_region_map()
-            .filter(|m| m.partitioned())
-            .map(|m| m.live_components());
-        let outcome = match (partition, hang) {
-            (Some(components), _) => RecoveryOutcome::Partitioned { components },
-            (None, Some(h)) => RecoveryOutcome::Hung(h),
-            (None, None) => RecoveryOutcome::Quiescent,
+        lp.net.arm_attack(spec)?;
+        let mut hook = AttackHook {
+            cfg: &self.cfg,
+            spec,
+            bank_alerts: 0,
+            suppressed: 0,
+            suspicions: 0,
+            performed: 0,
+            skipped: 0,
+            first_evidence: None,
         };
-        let attack = net.attack_stats();
-        let tstats = transport.stats();
-        let recovery = net.recovery_stats();
-        let interference = effective_interference(&attack, ctx.performed, ctx.suppressed);
-        let evidence = ctx.bank_alerts + ctx.suspicions + recovery.routers_marked_malicious;
+        let outcome = lp.rollout(self.active_end(), self.opts.watchdog, &mut hook);
+
+        let verdict = verify_delivery(&lp.transport);
+        let attack = lp.net.attack_stats();
+        let tstats = lp.transport.stats();
+        let recovery = lp.net.recovery_stats();
+        let interference = effective_interference(&attack, hook.performed, hook.suppressed);
+        let evidence = hook.bank_alerts + hook.suspicions + recovery.routers_marked_malicious;
         let mitigation = tstats.retransmits
             + tstats.duplicates_suppressed
             + tstats.misrouted_flits
@@ -352,21 +314,19 @@ impl AttackHarness {
             attack,
             transport: tstats,
             recovery,
-            bank_alerts: ctx.bank_alerts,
-            suppressed_alerts: ctx.suppressed,
-            suspicions: ctx.suspicions,
-            intents_performed: ctx.performed,
-            intents_skipped: ctx.skipped,
-            first_evidence_at: ctx.first_evidence,
-            end_cycle: net.cycle(),
+            bank_alerts: hook.bank_alerts,
+            suppressed_alerts: hook.suppressed,
+            suspicions: hook.suspicions,
+            intents_performed: hook.performed,
+            intents_skipped: hook.skipped,
+            first_evidence_at: hook.first_evidence,
+            end_cycle: lp.net.cycle(),
         })
     }
 
     /// [`AttackHarness::run`] behind the campaign panic-isolation
-    /// boundary: a panicking rollout becomes a `Crashed` report (a crash
-    /// is loud by construction, so it classifies as
-    /// [`AttackClass::CaughtByOracle`]; the bench still refuses to accept
-    /// crashed cells).
+    /// boundary: a panicking rollout becomes an [`AttackRun::crashed`]
+    /// report.
     ///
     /// # Errors
     ///
@@ -377,69 +337,41 @@ impl AttackHarness {
         spec: &AttackSpec,
         fault: Option<&FaultSpec>,
     ) -> Result<AttackRun, SimError> {
-        match catch_payload(|| self.run(spec, fault)) {
-            Ok(result) => result,
-            Err(panic) => Ok(AttackRun {
-                spec: *spec,
-                fault: fault.copied(),
-                class: AttackClass::CaughtByOracle,
-                outcome: RecoveryOutcome::Crashed(panic),
-                verdict: DeliveryVerdict::Violated {
-                    undelivered: 0,
-                    gave_up: 0,
-                    duplicates: 0,
-                },
-                attack: AttackStats::default(),
-                transport: TransportStats::default(),
-                recovery: RecoveryStats::default(),
-                bank_alerts: 0,
-                suppressed_alerts: 0,
-                suspicions: 0,
-                intents_performed: 0,
-                intents_skipped: 0,
-                first_evidence_at: None,
-                end_cycle: 0,
-            }),
+        catch_payload(|| self.run(spec, fault))
+            .unwrap_or_else(|panic| Ok(AttackRun::crashed(*spec, fault.copied(), panic)))
+    }
+}
+
+/// One cycle of the adversarial closed loop, beyond the plain loop's
+/// alert translation: (a) the compromised router's own alerts are
+/// withheld from containment when the model is
+/// [`AttackKind::AlertSuppress`], (b) the attacker's out-of-band intents
+/// execute through public APIs (forged traffic is physically injected at
+/// the attacker's node, so its wire source is honest — in-model, sources
+/// cannot be forged), and (c) transport forgery suspicions feed back into
+/// the containment plane's malice scoring.
+impl Hook for AttackHook<'_> {
+    fn alert(&mut self, ev: &AssertionEvent) -> bool {
+        self.bank_alerts += 1;
+        if self.first_evidence.is_none() {
+            self.first_evidence = Some(ev.cycle);
         }
+        let spec = self.spec;
+        if spec.kind == AttackKind::AlertSuppress
+            && ev.router == spec.router
+            && ev.cycle >= spec.start
+        {
+            // The compromised router eats its own alert wire: the bank
+            // has recorded the assertion (detection stands) but
+            // containment never hears about it.
+            self.suppressed += 1;
+            return false;
+        }
+        true
     }
 
-    /// One simulated cycle of the adversarial closed loop. Beyond the
-    /// recovery harness's alert translation, this (a) withholds the
-    /// compromised router's own alerts from containment when the model is
-    /// [`AttackKind::AlertSuppress`], (b) executes the attacker's
-    /// out-of-band intents through public APIs (forged traffic is
-    /// physically injected at the attacker's node, so its wire source is
-    /// honest — in-model, sources cannot be forged), and (c) feeds
-    /// transport forgery suspicions back into the containment plane's
-    /// malice scoring.
-    fn step_once(
-        &self,
-        spec: &AttackSpec,
-        net: &mut Network,
-        bank: &mut AlertBank,
-        transport: &mut Transport,
-        ctx: &mut StepCtx,
-    ) {
-        net.step_observed(&mut (&mut *bank, &mut *transport));
-        let fresh = bank.events_since(ctx.consumed);
-        ctx.consumed = bank.assertions().len();
-        let suppressing = spec.kind == AttackKind::AlertSuppress;
-        for ev in fresh {
-            ctx.bank_alerts += 1;
-            if ctx.first_evidence.is_none() {
-                ctx.first_evidence = Some(ev.cycle);
-            }
-            if suppressing && ev.router == spec.router && ev.cycle >= spec.start {
-                // The compromised router eats its own alert wire: the
-                // bank has recorded the assertion (detection stands) but
-                // containment never hears about it.
-                ctx.suppressed += 1;
-                continue;
-            }
-            if let Some(module) = info(ev.checker).module {
-                net.notify_alert(ev.router, ev.port, ev.vc, module.port_is_output());
-            }
-        }
+    fn before_transport(&mut self, net: &mut Network, transport: &mut Transport) {
+        let spec = self.spec;
         for intent in net.drain_attack_intents() {
             match intent {
                 AttackIntent::ForgeAck {
@@ -453,13 +385,13 @@ impl AttackHarness {
                     // app id; if the victim's wire slot already retired,
                     // there is nothing left to forge against.
                     let Some(app) = transport.data_app(victim) else {
-                        ctx.skipped += 1;
+                        self.skipped += 1;
                         continue;
                     };
-                    let len =
-                        self.cfg.packet_lengths[class as usize % self.cfg.packet_lengths.len()];
+                    let lengths = &self.cfg.packet_lengths;
+                    let len = lengths[class as usize % lengths.len()];
                     let Some(pid) = net.enqueue_packet(spec.router, sender, class, len) else {
-                        ctx.skipped += 1;
+                        self.skipped += 1;
                         continue;
                     };
                     // Injected downstream of the attacker's egress filter:
@@ -479,39 +411,41 @@ impl AttackHarness {
                             tag,
                         },
                     );
-                    ctx.performed += 1;
+                    self.performed += 1;
                 }
                 AttackIntent::Replay { captured } => {
                     // Only captured *control* packets replay bit-faithfully
                     // (genuine tag included); captured data packets carry
                     // nothing a replay could close.
                     let Some(cap) = transport.control_meta(captured) else {
-                        ctx.skipped += 1;
+                        self.skipped += 1;
                         continue;
                     };
                     let Some(pid) = net.enqueue_packet(spec.router, cap.dest, cap.class, cap.len)
                     else {
-                        ctx.skipped += 1;
+                        self.skipped += 1;
                         continue;
                     };
                     net.mark_attack_injection(pid);
                     transport.register_forged_control(pid, net.cycle(), cap);
-                    ctx.performed += 1;
+                    self.performed += 1;
                 }
                 AttackIntent::RaiseAlert { port, vc } => {
                     // Fabricated alerts go straight to containment and
                     // deliberately bypass the bank: bank assertions must
                     // remain genuine detection evidence.
                     net.notify_alert(spec.router, port, vc, false);
-                    ctx.performed += 1;
+                    self.performed += 1;
                 }
             }
         }
-        transport.post_step(net);
+    }
+
+    fn after_transport(&mut self, net: &mut Network, transport: &mut Transport) {
         for s in transport.take_suspicions() {
-            ctx.suspicions += 1;
-            if ctx.first_evidence.is_none() {
-                ctx.first_evidence = Some(s.cycle);
+            self.suspicions += 1;
+            if self.first_evidence.is_none() {
+                self.first_evidence = Some(s.cycle);
             }
             if let Some(r) = s.router {
                 net.note_suspicion(r);
@@ -612,22 +546,7 @@ pub struct AttackCellReport {
     pub run: AttackRun,
 }
 
-/// Aggregated campaign result, in input-cell order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AttackCampaignReport {
-    /// One report per input cell (cells missing after a cancelled sweep
-    /// are absent and flagged via `interrupted`).
-    pub reports: Vec<AttackCellReport>,
-    /// Cells restored from the journal instead of re-run.
-    pub resumed: usize,
-    /// Torn trailing journal lines skipped on resume (mid-shard
-    /// corruption is refused as a structured error, never skipped).
-    pub corrupt_lines: usize,
-    /// True when cancellation stopped the sweep before every cell ran.
-    pub interrupted: bool,
-}
-
-impl AttackCampaignReport {
+impl SweepReport<AttackCellReport> {
     /// Cells per class, in [`AttackClass`] severity order.
     pub fn matrix(&self) -> BTreeMap<AttackClass, u64> {
         let mut m = BTreeMap::new();
@@ -647,56 +566,9 @@ impl AttackCampaignReport {
     }
 }
 
-/// Resilience knobs of the attack sweep (mirrors
-/// [`crate::campaign::ResilienceOptions`]).
-#[derive(Debug, Default)]
-pub struct AttackCampaignOptions {
-    /// Journal directory for kill-safe incremental progress.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Load previously completed cells from the journal instead of
-    /// refusing a populated directory.
-    pub resume: bool,
-    /// Cooperative cancellation flag, checked between cells.
-    pub cancel: Option<Arc<AtomicBool>>,
-}
-
-impl AttackCampaignOptions {
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// The attack campaign's journal: `meta.json` pins the configuration,
-/// `shard-w<worker>.jsonl` holds one [`AttackCellReport`] per line,
-/// appended and flushed as each cell completes. The durability semantics
-/// (kill-safety, torn-tail repair, mid-shard refusal) are the shared
-/// [`jsonl`] substrate's, identical to [`crate::campaign::Checkpoint`].
-#[derive(Debug, Clone)]
-struct Journal {
-    dir: PathBuf,
-}
-
-impl Journal {
-    fn open(dir: impl Into<PathBuf>, cc: &AttackCampaignConfig) -> Result<Journal, CampaignError> {
-        let dir = dir.into();
-        jsonl::ensure_meta(&dir, 1, cc)?;
-        Ok(Journal { dir })
-    }
-
-    fn load(&self) -> Result<(Vec<AttackCellReport>, usize), CampaignError> {
-        jsonl::load_shards(&self.dir)
-    }
-
-    fn shard_writer(&self, worker: usize) -> Result<jsonl::Appender, CampaignError> {
-        jsonl::Appender::open_shard(&self.dir, worker)
-    }
-}
-
-/// The attack matrix driver: panic isolation per cell, optional JSONL
-/// journalling with resume, cooperative cancellation, and round-robin
-/// worker sharding. Reports are reassembled in input-cell order, so the
+/// The attack matrix sweep: every cell rolled out behind the
+/// panic-isolation boundary through the shared checkpointed sweep driver
+/// (journal, resume, cancellation, round-robin workers), so the
 /// aggregate is bit-identical for any worker count.
 #[derive(Debug, Clone)]
 pub struct AttackCampaign {
@@ -716,11 +588,6 @@ impl AttackCampaign {
         Ok(AttackCampaign { cc, harness })
     }
 
-    /// The campaign's configuration.
-    pub fn config(&self) -> &AttackCampaignConfig {
-        &self.cc
-    }
-
     /// Runs every cell, `threads`-wide. One report per input cell, in
     /// input order; cells already present in a resumed journal are not
     /// re-run.
@@ -734,141 +601,30 @@ impl AttackCampaign {
         &self,
         cells: &[AttackCell],
         threads: usize,
-        opts: &AttackCampaignOptions,
-    ) -> Result<AttackCampaignReport, CampaignError> {
-        let journal = match &opts.checkpoint_dir {
-            Some(dir) => Some(Journal::open(dir, &self.cc)?),
-            None => None,
-        };
-        let mut done: HashMap<AttackCell, AttackCellReport> = HashMap::new();
-        let mut corrupt_lines = 0usize;
-        if let Some(j) = &journal {
-            let (reports, corrupt) = j.load()?;
-            if !opts.resume && !reports.is_empty() {
-                return Err(CampaignError::Checkpoint {
-                    path: j.dir.clone(),
-                    detail: format!(
-                        "directory already holds {} completed cells; pass resume=true to continue or point at a fresh directory",
-                        reports.len()
-                    ),
-                });
-            }
-            if opts.resume {
-                corrupt_lines = corrupt;
-                for r in reports {
-                    done.insert(r.cell, r); // later shards win on duplicates
-                }
-            }
-        }
-        let resumed = cells.iter().filter(|c| done.contains_key(c)).count();
-        let todo: Vec<AttackCell> = cells
-            .iter()
-            .copied()
-            .filter(|c| !done.contains_key(c))
-            .collect();
-
-        let run_cell = |cell: &AttackCell| -> Result<AttackCellReport, CampaignError> {
-            let run = self
-                .harness
-                .run_isolated(&cell.spec, cell.fault.as_ref())
-                .map_err(CampaignError::Substrate)?;
-            Ok(AttackCellReport { cell: *cell, run })
-        };
-
-        let mut fresh: Vec<AttackCellReport> = Vec::new();
-        if threads <= 1 || todo.len() < 2 {
-            let mut writer = match &journal {
-                Some(j) => Some(j.shard_writer(0)?),
-                None => None,
-            };
-            for cell in &todo {
-                if opts.cancelled() {
-                    break;
-                }
-                let rep = run_cell(cell)?;
-                if let Some(w) = &mut writer {
-                    w.append(&rep)?;
-                }
-                fresh.push(rep);
-            }
-        } else {
-            // Round-robin sharding, like the fault campaigns: worker `w`
-            // takes cells `w`, `w+workers`, …, so the shard a cell lands
-            // in is a pure function of its index and the worker count.
-            let workers = threads.min(todo.len());
-            let mut writers: Vec<Option<jsonl::Appender>> = Vec::new();
-            for i in 0..workers {
-                writers.push(match &journal {
-                    Some(j) => Some(j.shard_writer(i)?),
-                    None => None,
-                });
-            }
-            let todo = &todo;
-            let run_cell = &run_cell;
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = writers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, mut writer)| {
-                        scope.spawn(move || -> Result<Vec<AttackCellReport>, CampaignError> {
-                            let mut out = Vec::new();
-                            for cell in todo.iter().skip(w).step_by(workers) {
-                                if opts.cancelled() {
-                                    break;
-                                }
-                                let rep = run_cell(cell)?;
-                                if let Some(wr) = &mut writer {
-                                    wr.append(&rep)?;
-                                }
-                                out.push(rep);
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                let mut results = Vec::new();
-                for h in handles {
-                    results.push(h.join());
-                }
-                results
-            });
-            for r in results {
-                match r {
-                    Ok(Ok(v)) => fresh.extend(v),
-                    Ok(Err(e)) => return Err(e),
-                    Err(p) => {
-                        return Err(CampaignError::WorkerLost {
-                            detail: format!("{p:?}"),
-                        })
-                    }
-                }
-            }
-        }
-
-        for r in fresh {
-            done.insert(r.cell, r);
-        }
-        let mut reports = Vec::with_capacity(cells.len());
-        let mut interrupted = false;
-        for cell in cells {
-            match done.get(cell) {
-                Some(r) => reports.push(r.clone()),
-                None => interrupted = true,
-            }
-        }
-        Ok(AttackCampaignReport {
-            reports,
-            resumed,
-            corrupt_lines,
-            interrupted,
-        })
+        opts: &ResilienceOptions,
+    ) -> Result<SweepReport<AttackCellReport>, CampaignError> {
+        sweep(
+            &self.cc,
+            cells,
+            threads,
+            opts,
+            |r: &AttackCellReport| r.cell,
+            || (),
+            |_, cell| {
+                let run = self
+                    .harness
+                    .run_isolated(&cell.spec, cell.fault.as_ref())
+                    .map_err(CampaignError::Substrate)?;
+                Ok(AttackCellReport { cell, run })
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fault::Watchdog;
+    use fault::{Hang, HangKind, Watchdog};
     use std::fs;
 
     fn noc() -> NocConfig {
@@ -1063,9 +819,9 @@ mod tests {
         let campaign = AttackCampaign::try_new(cc.clone()).expect("valid");
         let cells = standard_cells(&cc.noc, &[5], 2, 300, 1);
         let one = &cells[..1];
-        let opts = AttackCampaignOptions {
+        let opts = ResilienceOptions {
             checkpoint_dir: Some(dir.clone()),
-            ..AttackCampaignOptions::default()
+            ..ResilienceOptions::default()
         };
         let first = campaign.run_cells(one, 1, &opts).expect("first run");
         assert_eq!(first.reports.len(), 1);
@@ -1080,7 +836,7 @@ mod tests {
             .run_cells(
                 one,
                 1,
-                &AttackCampaignOptions {
+                &ResilienceOptions {
                     checkpoint_dir: Some(dir.clone()),
                     resume: true,
                     cancel: None,
@@ -1098,7 +854,7 @@ mod tests {
             .run_cells(
                 one,
                 1,
-                &AttackCampaignOptions {
+                &ResilienceOptions {
                     checkpoint_dir: Some(dir.clone()),
                     resume: true,
                     cancel: None,
@@ -1106,40 +862,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, CampaignError::CheckpointMismatch { .. }));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn journal_refuses_mid_shard_corruption_but_repairs_torn_tail() {
-        let dir =
-            std::env::temp_dir().join(format!("nocalert-attack-poison-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cc = AttackCampaignConfig {
-            noc: noc(),
-            opts: small_opts(),
-        };
-        let journal = Journal::open(&dir, &cc).expect("fresh journal");
-        let shard = dir.join("shard-w0.jsonl");
-
-        // A torn trailing fragment alone is a kill signature: skipped,
-        // counted, never an error.
-        fs::write(&shard, b"{\"cell\":{\"sp").unwrap();
-        let (reports, corrupt) = journal.load().expect("torn tail is benign");
-        assert!(reports.is_empty());
-        assert_eq!(corrupt, 1);
-
-        // A complete-but-unparseable line is file damage: every row after
-        // it would silently vanish on resume, so loading must refuse with
-        // the shard and line pinpointed.
-        fs::write(&shard, b"{\"cell\": garbage}\n").unwrap();
-        let err = journal.load().unwrap_err();
-        match err {
-            CampaignError::ShardCorrupt { path, line, .. } => {
-                assert_eq!(path, shard);
-                assert_eq!(line, 1);
-            }
-            other => panic!("expected ShardCorrupt, got {other:?}"),
-        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

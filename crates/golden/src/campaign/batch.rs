@@ -50,7 +50,7 @@
 
 use super::{Campaign, CampaignArena, RunResult};
 use crate::oracle::{classify, Verdict};
-use fault::{FaultSpec, Hang, HangKind, Watchdog};
+use fault::{drain_watched, FaultSpec, Hang, StallMeter, Watchdog};
 use noc_sim::{ArmedFault, Network, NullObserver, Observer};
 use noc_types::record::CycleRecord;
 use noc_types::site::FaultKind;
@@ -115,8 +115,7 @@ impl Campaign {
         // additionally tracking the longest progress-free stretch.
         net.set_injection_enabled(false);
         let limit = net.cycle() + self.cc.drain_deadline;
-        let mut sig = net.progress_signature();
-        let mut stalled: Cycle = 0;
+        let mut meter = StallMeter::new(&net);
         let mut max_stall: Cycle = 0;
         let mut drained = false;
         while net.cycle() < limit {
@@ -125,14 +124,7 @@ impl Campaign {
                 break;
             }
             net.step_observed(&mut (&mut bank, &mut fv, &mut log));
-            let now = net.progress_signature();
-            if now == sig {
-                stalled += 1;
-                max_stall = max_stall.max(stalled);
-            } else {
-                sig = now;
-                stalled = 0;
-            }
+            max_stall = max_stall.max(meter.observe(&net));
         }
         drained = drained || net.is_drained();
         let end_cycle = net.cycle();
@@ -271,47 +263,14 @@ impl Campaign {
             return Some((self.assemble(spec, fault_hits, verdict, bank, fv), None));
         }
         // Never re-converged within the active window: finish the rollout
-        // scalar, in place, replicating the watched drain loop and coda.
-        let budget_end = inj.saturating_add(dog.cycle_budget);
-        let drain_end = net.cycle() + self.cc.drain_deadline;
-        net.set_injection_enabled(false);
-        let mut sig = net.progress_signature();
-        let mut stalled: Cycle = 0;
-        let mut drained = false;
-        let mut hang = None;
-        loop {
-            if net.is_drained() {
-                drained = true;
-                break;
-            }
-            if net.cycle() >= drain_end {
-                break;
-            }
-            if net.cycle() >= budget_end {
-                hang = Some(Hang {
-                    kind: HangKind::CycleBudget,
-                    at_cycle: net.cycle(),
-                    stalled_for: stalled,
-                });
-                break;
-            }
-            if stalled >= dog.stall_window {
-                hang = Some(Hang {
-                    kind: HangKind::NoProgress,
-                    at_cycle: net.cycle(),
-                    stalled_for: stalled,
-                });
-                break;
-            }
-            net.step_observed(&mut (&mut *bank, &mut *fv, &mut *log));
-            let now = net.progress_signature();
-            if now == sig {
-                stalled += 1;
-            } else {
-                sig = now;
-                stalled = 0;
-            }
-        }
+        // scalar, in place, through the watched drain and coda.
+        let (drained, hang) = drain_watched(
+            net,
+            self.cc.drain_deadline,
+            inj.saturating_add(dog.cycle_budget),
+            dog.stall_window,
+            &mut (&mut *bank, &mut *fv, &mut *log),
+        );
         if hang.is_none() {
             self.coda(net, &mut (&mut *bank, &mut *fv, &mut *log));
         }
@@ -393,17 +352,13 @@ impl Campaign {
     pub fn run_specs_batched(&self, specs: &[FaultSpec], threads: usize) -> Vec<RunResult> {
         // Build the shared trajectory before any worker needs it.
         let _ = self.trajectory();
-        let dog = Watchdog {
-            cycle_budget: u64::MAX,
-            stall_window: u64::MAX,
-        };
         let run_share = |share: &mut dyn Iterator<Item = (usize, FaultSpec)>| {
             let mut arena = self.arena();
             let mut out: Vec<(usize, RunResult)> = Vec::new();
             let mut probe_group: Vec<(usize, FaultSpec)> = Vec::new();
             for (i, spec) in share {
                 if spec.kind == FaultKind::Transient {
-                    let r = match self.run_transient_batched_in(&mut arena, spec, dog) {
+                    let r = match self.run_transient_batched_in(&mut arena, spec, Watchdog::OFF) {
                         Some((r, _)) => r,
                         None => self.run_spec_in(&mut arena, spec),
                     };
@@ -481,11 +436,6 @@ mod tests {
         })
     }
 
-    const INFINITE: Watchdog = Watchdog {
-        cycle_budget: u64::MAX,
-        stall_window: u64::MAX,
-    };
-
     /// The differential sweep pinning the engine: every fault class at
     /// rotating injection offsets over stride-sampled sites, batched vs
     /// scalar, byte-identical `RunResult`s.
@@ -535,8 +485,9 @@ mod tests {
         for (i, &site) in sites.iter().enumerate() {
             let start = inj + (i as Cycle * 37) % c.cc.active_window;
             let spec = FaultSpec::transient(site, start);
-            let (want, want_hang) = c.run_spec_watched_in(&mut scalar, spec, INFINITE);
-            let Some((got, got_hang)) = c.run_transient_batched_in(&mut batched, spec, INFINITE)
+            let (want, want_hang) = c.run_spec_watched_in(&mut scalar, spec, Watchdog::OFF);
+            let Some((got, got_hang)) =
+                c.run_transient_batched_in(&mut batched, spec, Watchdog::OFF)
             else {
                 panic!("engine must accept an in-window transient under an infinite watchdog");
             };
@@ -591,17 +542,17 @@ mod tests {
         // fire after the cached trajectory ends.
         let late = FaultSpec::transient(site, inj + c.cc.active_window);
         assert!(c
-            .run_transient_batched_in(&mut arena, late, INFINITE)
+            .run_transient_batched_in(&mut arena, late, Watchdog::OFF)
             .is_none());
         // Injection before the snapshot.
         let early = FaultSpec::transient(site, inj - 1);
         assert!(c
-            .run_transient_batched_in(&mut arena, early, INFINITE)
+            .run_transient_batched_in(&mut arena, early, Watchdog::OFF)
             .is_none());
         // Sustained kinds belong to the probe path, not the resync ladder.
         let perm = FaultSpec::permanent(site, inj);
         assert!(c
-            .run_transient_batched_in(&mut arena, perm, INFINITE)
+            .run_transient_batched_in(&mut arena, perm, Watchdog::OFF)
             .is_none());
         // A cycle budget shorter than the golden schedule could trip
         // mid-run, which replay cannot reproduce.

@@ -1,8 +1,6 @@
-//! The shared JSONL shard substrate behind every durable campaign
-//! artifact: fault-campaign checkpoints ([`super::checkpoint`]), attack
-//! journals ([`crate::attack`]), recovery journals ([`crate::recovery`]),
-//! and aging epoch logs ([`crate::aging`]). One implementation, one set
-//! of durability semantics:
+//! The JSONL journal behind every durable campaign artifact: transient
+//! checkpoints, recovery and attack journals, and aging epoch logs. One
+//! implementation, one set of durability semantics:
 //!
 //! * **append + flush per row** — a `kill -9` loses at most the
 //!   in-flight row;
@@ -16,16 +14,29 @@
 //!   signature, and loading refuses it as
 //!   [`CampaignError::ShardCorrupt`] rather than silently dropping the
 //!   row and every row after it;
-//! * **`meta.json` config pinning** — a shard directory records the
+//! * **`meta.json` config pinning** — a journal directory records the
 //!   campaign configuration it was written under, and opening it with a
 //!   different configuration is refused as
 //!   [`CampaignError::CheckpointMismatch`] (mixing rows computed under
-//!   different configurations would corrupt aggregates).
+//!   different configurations would corrupt aggregates);
+//! * **populated-directory refusal** — loading a directory that already
+//!   holds rows without asking to resume is refused, never overwritten.
+//!
+//! Layout of a journal directory ([`Journal`]):
+//!
+//! * `meta.json` — `{ "version": 1, "config": <config> }`, written once
+//!   at creation;
+//! * `shard-w<worker>.jsonl` — one serialized row per line, appended and
+//!   flushed as soon as the unit finishes. Workers write disjoint files,
+//!   so no locking is needed. Which shard a row lands in depends on the
+//!   worker count; sweeps reassemble rows in input order, so the shard
+//!   layout never affects results.
 
 use super::error::CampaignError;
 use serde::{Deserialize, Serialize, Value};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Name of the metadata file pinning a shard directory's configuration.
@@ -41,13 +52,7 @@ fn io_err(path: &Path, detail: impl std::fmt::Display) -> CampaignError {
 /// Creates `dir` if needed and pins it to `config`: a fresh directory
 /// gets a `meta.json` of `{"version": version, "config": <config>}`,
 /// an existing one must carry a matching config.
-///
-/// # Errors
-///
-/// [`CampaignError::Checkpoint`] on I/O or parse failures,
-/// [`CampaignError::CheckpointMismatch`] when the directory belongs to a
-/// different campaign configuration.
-pub fn ensure_meta<C>(dir: &Path, version: u32, config: &C) -> Result<(), CampaignError>
+fn ensure_meta<C>(dir: &Path, version: u32, config: &C) -> Result<(), CampaignError>
 where
     C: Serialize + Deserialize + PartialEq,
 {
@@ -75,25 +80,25 @@ where
     Ok(())
 }
 
-/// Parses every complete row of one JSONL file, in line order. Returns
-/// the rows plus a flag for a torn trailing line (no final newline — a
-/// mid-write kill), which is skipped rather than parsed. A missing file
-/// reads as empty.
-///
-/// # Errors
-///
-/// [`CampaignError::ShardCorrupt`] when a line inside the complete,
-/// newline-terminated prefix fails to parse, [`CampaignError::Checkpoint`]
-/// on I/O failures.
-pub fn load_file<T: Deserialize>(path: &Path) -> Result<(Vec<T>, bool), CampaignError> {
-    if !path.exists() {
-        return Ok((Vec::new(), false));
-    }
+/// Reads one JSONL file (a missing file reads as empty) and returns its
+/// text plus the length of its complete, newline-terminated prefix;
+/// anything after it is a torn trailing line from a mid-write kill.
+fn read_complete(path: &Path) -> Result<(String, usize), CampaignError> {
     let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| io_err(path, e))?;
-    let complete_len = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
+    if path.exists() {
+        File::open(path)
+            .and_then(|mut f| f.read_to_string(&mut text))
+            .map_err(|e| io_err(path, e))?;
+    }
+    let complete_len = text.rfind('\n').map_or(0, |i| i + 1);
+    Ok((text, complete_len))
+}
+
+/// Parses every complete row of one JSONL file, in line order. Returns
+/// the rows plus a flag for a torn trailing line, which is skipped
+/// rather than parsed.
+fn load_file<T: Deserialize>(path: &Path) -> Result<(Vec<T>, bool), CampaignError> {
+    let (text, complete_len) = read_complete(path)?;
     let torn = complete_len < text.len();
     let mut rows = Vec::new();
     for (idx, line) in text[..complete_len].lines().enumerate() {
@@ -118,11 +123,7 @@ pub fn load_file<T: Deserialize>(path: &Path) -> Result<(Vec<T>, bool), Campaign
 /// shard name + line order. The second element counts torn trailing
 /// lines across shards; duplicate rows are the caller's concern (keep
 /// the last).
-///
-/// # Errors
-///
-/// As [`load_file`], per shard.
-pub fn load_shards<T: Deserialize>(dir: &Path) -> Result<(Vec<T>, usize), CampaignError> {
+fn load_shards<T: Deserialize>(dir: &Path) -> Result<(Vec<T>, usize), CampaignError> {
     let mut shards: Vec<PathBuf> = fs::read_dir(dir)
         .map_err(|e| io_err(dir, e))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -145,6 +146,75 @@ pub fn load_shards<T: Deserialize>(dir: &Path) -> Result<(Vec<T>, usize), Campai
     Ok((rows, corrupt))
 }
 
+/// A journal directory pinned to one campaign configuration `C`, holding
+/// `R` rows in per-worker shards (see the module docs for the layout and
+/// the durability semantics).
+#[derive(Debug)]
+pub struct Journal<C, R> {
+    dir: PathBuf,
+    rows: PhantomData<fn(&C) -> R>,
+}
+
+impl<C, R> Journal<C, R>
+where
+    C: Serialize + Deserialize + PartialEq,
+    R: Serialize + Deserialize,
+{
+    /// Opens (creating if needed) a journal directory for `config`. A
+    /// fresh directory gets a `meta.json` recording `config`; an existing
+    /// one must carry a matching config.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Checkpoint`] on I/O or parse failures,
+    /// [`CampaignError::CheckpointMismatch`] when the directory belongs
+    /// to a different campaign configuration.
+    pub fn open(dir: impl Into<PathBuf>, config: &C) -> Result<Journal<C, R>, CampaignError> {
+        let dir = dir.into();
+        ensure_meta(&dir, 1, config)?;
+        Ok(Journal {
+            dir,
+            rows: PhantomData,
+        })
+    }
+
+    /// Loads every complete row, in shard name + line order, plus the
+    /// number of torn trailing lines skipped. Without `resume` the
+    /// directory must hold no rows, and nothing is loaded.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Checkpoint`] for a populated directory without
+    /// `resume` and on I/O failures, [`CampaignError::ShardCorrupt`] for
+    /// mid-shard damage.
+    pub fn load(&self, resume: bool) -> Result<(Vec<R>, usize), CampaignError> {
+        let (rows, torn) = load_shards(&self.dir)?;
+        if resume {
+            return Ok((rows, torn));
+        }
+        if !rows.is_empty() {
+            return Err(CampaignError::Checkpoint {
+                path: self.dir.clone(),
+                detail: format!(
+                    "directory already holds {} completed rows; pass resume=true to continue or point at a fresh directory",
+                    rows.len()
+                ),
+            });
+        }
+        Ok((Vec::new(), 0))
+    }
+
+    /// Opens worker `worker`'s shard, `shard-w<worker>.jsonl`, for
+    /// appending (repairing a torn tail first).
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Checkpoint`] on I/O failures.
+    pub fn writer(&self, worker: usize) -> Result<Appender, CampaignError> {
+        Appender::open(self.dir.join(format!("shard-w{worker}.jsonl")))
+    }
+}
+
 /// Append handle for one JSONL file; rows are flushed to the OS one by
 /// one — the substrate's kill-safety granularity.
 #[derive(Debug)]
@@ -159,25 +229,14 @@ impl Appender {
     /// anyway, and newline-terminating the fragment instead would leave
     /// a complete-but-unparseable line that a later load rightly refuses
     /// as mid-file corruption.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Checkpoint`] on I/O failures.
-    pub fn open(path: impl Into<PathBuf>) -> Result<Appender, CampaignError> {
-        let path = path.into();
-        if path.exists() {
-            let mut text = String::new();
-            File::open(&path)
-                .and_then(|mut f| f.read_to_string(&mut text))
+    fn open(path: PathBuf) -> Result<Appender, CampaignError> {
+        let (text, complete_len) = read_complete(&path)?;
+        if complete_len < text.len() {
+            OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_len(complete_len as u64))
                 .map_err(|e| io_err(&path, e))?;
-            let complete_len = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            if complete_len < text.len() {
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .and_then(|f| f.set_len(complete_len as u64))
-                    .map_err(|e| io_err(&path, e))?;
-            }
         }
         let file = OpenOptions::new()
             .create(true)
@@ -185,16 +244,6 @@ impl Appender {
             .open(&path)
             .map_err(|e| io_err(&path, e))?;
         Ok(Appender { path, file })
-    }
-
-    /// Opens the conventional per-worker shard file `shard-w<worker>.jsonl`
-    /// in `dir` (the layout [`load_shards`] reassembles).
-    ///
-    /// # Errors
-    ///
-    /// As [`Appender::open`].
-    pub fn open_shard(dir: &Path, worker: usize) -> Result<Appender, CampaignError> {
-        Appender::open(dir.join(format!("shard-w{worker}.jsonl")))
     }
 
     /// Appends one row as a single JSONL line and flushes it to the OS
@@ -228,74 +277,96 @@ mod tests {
         knob: u32,
     }
 
+    type TestJournal = Journal<Cfg, Row>;
+
+    fn row(id: u32) -> Row {
+        Row {
+            id,
+            tag: format!("r{id}"),
+        }
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("nocalert-jsonl-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }
 
+    fn append_raw(path: &Path, bytes: &[u8]) {
+        let mut f = OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
     #[test]
     fn meta_pins_config_and_refuses_mismatch() {
         let dir = tmpdir("meta");
-        ensure_meta(&dir, 1, &Cfg { knob: 7 }).unwrap();
-        ensure_meta(&dir, 1, &Cfg { knob: 7 }).unwrap();
-        let err = ensure_meta(&dir, 1, &Cfg { knob: 8 }).unwrap_err();
+        TestJournal::open(&dir, &Cfg { knob: 7 }).unwrap();
+        TestJournal::open(&dir, &Cfg { knob: 7 }).unwrap();
+        let err = TestJournal::open(&dir, &Cfg { knob: 8 }).unwrap_err();
         assert!(matches!(err, CampaignError::CheckpointMismatch { .. }));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn shard_roundtrip_torn_tail_and_corruption() {
-        let dir = tmpdir("rows");
-        fs::create_dir_all(&dir).unwrap();
-        let mut w = Appender::open_shard(&dir, 0).unwrap();
-        w.append(&Row {
-            id: 1,
-            tag: "a".into(),
-        })
-        .unwrap();
-        drop(w);
-        let shard = dir.join("shard-w0.jsonl");
-        // A torn fragment is skipped, counted, and repaired on reopen.
-        let mut f = OpenOptions::new().append(true).open(&shard).unwrap();
-        f.write_all(b"{\"id\":2,\"ta").unwrap();
-        drop(f);
-        let (rows, corrupt) = load_shards::<Row>(&dir).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(corrupt, 1);
-        let mut w = Appender::open_shard(&dir, 0).unwrap();
-        w.append(&Row {
-            id: 3,
-            tag: "c".into(),
-        })
-        .unwrap();
-        drop(w);
-        let (rows, corrupt) = load_shards::<Row>(&dir).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(corrupt, 0, "the repaired shard is pristine");
-        // Mid-file corruption is refused with the line pinpointed.
-        let mut f = OpenOptions::new().append(true).open(&shard).unwrap();
-        f.write_all(b"{\"id\": garbage}\n{\"id\":4,\"tag\":\"d\"}\n")
-            .unwrap();
-        drop(f);
-        let err = load_shards::<Row>(&dir).unwrap_err();
-        match err {
-            CampaignError::ShardCorrupt { path, line, .. } => {
-                assert_eq!(path, shard);
-                assert_eq!(line, 3);
-            }
-            other => panic!("expected ShardCorrupt, got {other:?}"),
-        }
+    fn shards_roundtrip_and_populated_dir_needs_resume() {
+        let dir = tmpdir("rt");
+        let j = TestJournal::open(&dir, &Cfg { knob: 1 }).unwrap();
+        assert_eq!(j.load(false).unwrap(), (Vec::new(), 0), "fresh is empty");
+        let mut w0 = j.writer(0).unwrap();
+        let mut w1 = j.writer(1).unwrap();
+        w1.append(&row(3)).unwrap();
+        w0.append(&row(1)).unwrap();
+        w0.append(&row(2)).unwrap();
+        let (rows, torn) = j.load(true).unwrap();
+        assert_eq!(torn, 0);
+        assert_eq!(
+            rows,
+            vec![row(1), row(2), row(3)],
+            "shard name + line order"
+        );
+        let err = j.load(false).unwrap_err();
+        assert!(matches!(err, CampaignError::Checkpoint { .. }), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn missing_file_reads_empty() {
-        let dir = tmpdir("missing");
-        fs::create_dir_all(&dir).unwrap();
-        let (rows, torn) = load_file::<Row>(&dir.join("nope.jsonl")).unwrap();
-        assert!(rows.is_empty());
-        assert!(!torn);
+    fn torn_tail_is_skipped_counted_and_repaired() {
+        let dir = tmpdir("torn");
+        let j = TestJournal::open(&dir, &Cfg { knob: 1 }).unwrap();
+        j.writer(0).unwrap().append(&row(1)).unwrap();
+        // Simulate a kill mid-write: a truncated fragment, no newline.
+        let shard = dir.join("shard-w0.jsonl");
+        append_raw(&shard, b"{\"id\":2,\"ta");
+        let (rows, torn) = j.load(true).unwrap();
+        assert_eq!(rows, vec![row(1)]);
+        assert_eq!(torn, 1);
+        // Reopening the writer truncates the fragment; the next append
+        // parses cleanly and the shard is pristine again.
+        j.writer(0).unwrap().append(&row(3)).unwrap();
+        let (rows, torn) = j.load(true).unwrap();
+        assert_eq!(rows, vec![row(1), row(3)]);
+        assert_eq!(torn, 0, "the repaired shard is pristine");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mid_shard_corruption_is_refused_not_shrunk() {
+        let dir = tmpdir("poison");
+        let j = TestJournal::open(&dir, &Cfg { knob: 1 }).unwrap();
+        j.writer(0).unwrap().append(&row(1)).unwrap();
+        // Poison a complete (newline-terminated) line mid-shard, then a
+        // perfectly good row after it. Loading must refuse with the shard
+        // and line pinpointed — not keep row 1, drop the poison, and
+        // quietly forget row 4 ever ran.
+        let shard = dir.join("shard-w0.jsonl");
+        append_raw(&shard, b"{\"id\": garbage}\n{\"id\":4,\"tag\":\"d\"}\n");
+        match j.load(true).unwrap_err() {
+            CampaignError::ShardCorrupt { path, line, .. } => {
+                assert_eq!(path, shard);
+                assert_eq!(line, 2, "poison sits on the second line");
+            }
+            other => panic!("expected ShardCorrupt, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

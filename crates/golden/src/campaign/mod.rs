@@ -25,25 +25,26 @@
 //! * **deterministic retry** — crashed/hung runs re-execute once with
 //!   identical state; a divergent second outcome is flagged as a
 //!   [`Determinism::Violated`] harness bug;
-//! * **checkpoint/resume** ([`checkpoint`]) — workers flush each
-//!   completed site to JSONL shards; a resumed campaign skips completed
+//! * **checkpoint/resume and cancellation** ([`sweep`]) — the sweep
+//!   driver every campaign kind shares: workers flush each completed
+//!   site to the JSONL [`Journal`]; a resumed campaign skips completed
 //!   sites and reproduces the aggregates of an uninterrupted run for any
-//!   worker count;
-//! * **cancellation** — a shared flag requests flush-and-exit; the
-//!   partial report says so via [`CampaignReport::interrupted`].
+//!   worker count, and a cancelled one says so via
+//!   [`SweepReport::interrupted`].
 
 pub(crate) mod batch;
-pub mod checkpoint;
 pub mod error;
 pub mod jsonl;
 pub mod outcome;
 pub(crate) mod resilience;
+pub mod sweep;
 
-pub use checkpoint::Checkpoint;
 pub use error::CampaignError;
+pub use jsonl::Journal;
 pub use outcome::{
     outcome, Detector, DetectorOutcome, Determinism, Outcome, RunOutcome, RunResult, SiteReport,
 };
+pub use sweep::{ResilienceOptions, SweepReport};
 
 use crate::oracle::{classify, GoldenReference, RunLog};
 use fault::{rollout, rollout_watched, FaultSpec, Hang, Watchdog};
@@ -53,10 +54,7 @@ use noc_types::site::SiteRef;
 use noc_types::{Cycle, NocConfig};
 use nocalert::{AlertBank, CheckerId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Campaign parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,54 +87,7 @@ impl CampaignConfig {
     }
 }
 
-/// Execution policy for [`Campaign::run_many_resilient`].
-#[derive(Debug, Clone, Default)]
-pub struct ResilienceOptions {
-    /// Hang-detection policy. `None` uses [`Watchdog::default_policy`].
-    pub watchdog: Option<Watchdog>,
-    /// Directory for JSONL result shards; `None` disables checkpointing.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Skip sites already present in the checkpoint. Without `resume`, a
-    /// checkpoint directory that already holds shards is refused.
-    pub resume: bool,
-    /// Cooperative cancellation: set to `true` (e.g. from a signal
-    /// handler or another thread) and workers finish their current site,
-    /// flush, and exit. The report's `interrupted` flag is set.
-    pub cancel: Option<Arc<AtomicBool>>,
-}
-
-impl ResilienceOptions {
-    fn dog(&self) -> Watchdog {
-        self.watchdog.unwrap_or_else(Watchdog::default_policy)
-    }
-
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::SeqCst))
-    }
-}
-
-/// The product of a resilient campaign execution: one [`SiteReport`] per
-/// input site (in input order), plus bookkeeping about how the sweep
-/// went. Completed and watchdog-terminated runs still carry full
-/// [`RunResult`]s, so the Figure 6–9 statistics consume
-/// [`CampaignReport::results`] unchanged.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignReport {
-    /// Reports in input-site order. When `interrupted`, sites cancelled
-    /// before execution are absent.
-    pub reports: Vec<SiteReport>,
-    /// Sites skipped because a resumed checkpoint already held them.
-    pub resumed: usize,
-    /// Torn trailing checkpoint lines skipped while resuming (mid-shard
-    /// corruption is a [`CampaignError::ShardCorrupt`], never skipped).
-    pub corrupt_lines: usize,
-    /// True when cancellation stopped the sweep before every site ran.
-    pub interrupted: bool,
-}
-
-impl CampaignReport {
+impl SweepReport<SiteReport> {
     /// The classified results (completed + deadlocked runs), in order —
     /// the input to the `stats` module.
     pub fn results(&self) -> Vec<RunResult> {
@@ -317,46 +268,19 @@ impl Campaign {
         }
     }
 
-    /// Runs one single-bit **transient** injection at `site` — the paper's
-    /// campaign fault model.
-    pub fn run_site(&self, site: SiteRef) -> RunResult {
-        self.run_site_in(&mut self.arena(), site)
-    }
-
-    /// [`Campaign::run_site`] into a caller-provided arena.
-    pub fn run_site_in(&self, arena: &mut CampaignArena, site: SiteRef) -> RunResult {
-        self.run_spec_in(arena, FaultSpec::transient(site, self.injection_cycle()))
-    }
-
-    /// Runs an arbitrary fault spec (permanent/intermittent for the
-    /// Observation-3 experiments). The spec's `start` should not precede
-    /// the snapshot cycle.
-    pub fn run_spec(&self, spec: FaultSpec) -> RunResult {
-        self.run_spec_in(&mut self.arena(), spec)
-    }
-
-    /// [`Campaign::run_spec`] into a caller-provided arena.
+    /// Runs one fault spec into a caller-provided arena: a single-bit
+    /// transient at the injection cycle is the paper's campaign fault
+    /// model; permanent/intermittent specs serve the Observation-3
+    /// experiments. The spec's `start` should not precede the snapshot
+    /// cycle.
     pub fn run_spec_in(&self, arena: &mut CampaignArena, spec: FaultSpec) -> RunResult {
-        let (result, _hang) = self.run_spec_watched_in(
-            arena,
-            spec,
-            Watchdog {
-                cycle_budget: u64::MAX,
-                stall_window: u64::MAX,
-            },
-        );
-        result
+        self.run_spec_watched_in(arena, spec, Watchdog::OFF).0
     }
 
-    /// [`Campaign::run_spec`] under a [`Watchdog`]: identical results on
-    /// healthy runs; wedged runs terminate deterministically with a
+    /// [`Campaign::run_spec_in`] under a [`Watchdog`]: identical results
+    /// on healthy runs; wedged runs terminate deterministically with a
     /// [`Hang`] and are still classified against the golden reference on
-    /// the truncated log (the verdict then includes `NotDrained`).
-    pub fn run_spec_watched(&self, spec: FaultSpec, dog: Watchdog) -> (RunResult, Option<Hang>) {
-        self.run_spec_watched_in(&mut self.arena(), spec, dog)
-    }
-
-    /// [`Campaign::run_spec_watched`] into a caller-provided arena. The
+    /// the truncated log (the verdict then includes `NotDrained`). The
     /// arena is rewound to the warm snapshot before the rollout, so the
     /// result is bit-identical to a fresh-cloned run regardless of what
     /// the arena ran before — including a run that panicked out of it.
@@ -451,15 +375,10 @@ impl Campaign {
 
     /// Runs one spec behind the full isolation stack: panic boundary,
     /// watchdog, and (for crashed/hung runs) one deterministic retry.
-    /// Never panics, whatever the fault does to the simulator.
-    pub fn run_spec_resilient(&self, spec: FaultSpec, dog: Watchdog) -> SiteReport {
-        self.run_spec_resilient_in(&mut self.arena(), spec, dog)
-    }
-
-    /// [`Campaign::run_spec_resilient`] into a caller-provided arena. A
+    /// Never panics, whatever the fault does to the simulator. A
     /// panicking run may leave the arena torn mid-rollout; that is fine —
-    /// the next use (including the deterministic retry below) rewinds
-    /// every field from the warm snapshot first.
+    /// the next use (including the retry) rewinds every field from the
+    /// warm snapshot first.
     pub fn run_spec_resilient_in(
         &self,
         arena: &mut CampaignArena,
@@ -517,7 +436,7 @@ impl Campaign {
     /// Rollouts go through the batched bit-plane engine ([`batch`]) where
     /// its equivalence proof applies and through the scalar path where it
     /// does not; either way each result is bit-identical to
-    /// [`Campaign::run_site`]'s.
+    /// [`Campaign::run_spec_in`]'s.
     ///
     /// This is the fail-fast path: a panicking run propagates. Use
     /// [`Campaign::run_many_resilient`] for sweeps that must survive
@@ -530,11 +449,11 @@ impl Campaign {
         self.run_specs_batched(&specs, threads)
     }
 
-    /// The resilient batch driver: panic isolation, watchdogs,
+    /// The resilient batch driver: panic isolation, the `dog` watchdog,
     /// deterministic retry, optional JSONL checkpointing with resume, and
-    /// cooperative cancellation. One [`SiteReport`] per input spec, in
-    /// input order, bit-identical for any `threads` value — shard layout
-    /// depends on the worker count, aggregates never do.
+    /// cooperative cancellation ([`sweep`]). One [`SiteReport`] per input
+    /// spec, in input order, bit-identical for any `threads` value —
+    /// shard layout depends on the worker count, aggregates never do.
     ///
     /// # Errors
     ///
@@ -544,136 +463,18 @@ impl Campaign {
         &self,
         specs: &[FaultSpec],
         threads: usize,
+        dog: Watchdog,
         opts: &ResilienceOptions,
-    ) -> Result<CampaignReport, CampaignError> {
-        let ck = match &opts.checkpoint_dir {
-            Some(dir) => Some(Checkpoint::open(dir, &self.cc)?),
-            None => None,
-        };
-        let mut done: HashMap<FaultSpec, SiteReport> = HashMap::new();
-        let mut corrupt_lines = 0usize;
-        if let Some(ck) = &ck {
-            let (reports, corrupt) = ck.load_reports()?;
-            if !opts.resume && !reports.is_empty() {
-                return Err(CampaignError::Checkpoint {
-                    path: ck.dir().to_path_buf(),
-                    detail: format!(
-                        "directory already holds {} completed sites; pass resume=true to continue or point at a fresh directory",
-                        reports.len()
-                    ),
-                });
-            }
-            if opts.resume {
-                corrupt_lines = corrupt;
-                for r in reports {
-                    done.insert(r.spec, r); // later shards win on duplicates
-                }
-            }
-        }
-        let resumed = specs.iter().filter(|s| done.contains_key(s)).count();
-        let todo: Vec<FaultSpec> = specs
-            .iter()
-            .copied()
-            .filter(|s| !done.contains_key(s))
-            .collect();
-        let dog = self.dog_for(opts);
-
-        let mut fresh: Vec<SiteReport> = Vec::new();
-        if threads <= 1 || todo.len() < 2 {
-            let mut writer = match &ck {
-                Some(c) => Some(c.shard_writer(0)?),
-                None => None,
-            };
-            let mut arena = self.arena();
-            for &spec in &todo {
-                if opts.cancelled() {
-                    break;
-                }
-                let rep = self.run_spec_resilient_in(&mut arena, spec, dog);
-                if let Some(w) = &mut writer {
-                    w.append(&rep)?;
-                }
-                fresh.push(rep);
-            }
-        } else {
-            // Round-robin sharding: worker `w` takes specs `w`,
-            // `w+workers`, … — like `run_many`, so a straggler spec slows
-            // one lane instead of serializing a whole contiguous chunk,
-            // and the shard a spec lands in is a pure function of its
-            // input index and the worker count.
-            let workers = threads.min(todo.len());
-            // Open every shard writer before spawning so I/O errors
-            // surface eagerly.
-            let mut writers: Vec<Option<checkpoint::ShardWriter>> = Vec::new();
-            for i in 0..workers {
-                writers.push(match &ck {
-                    Some(c) => Some(c.shard_writer(i)?),
-                    None => None,
-                });
-            }
-            let todo = &todo;
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = writers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, mut writer)| {
-                        scope.spawn(move || -> Result<Vec<SiteReport>, CampaignError> {
-                            let mut arena = self.arena();
-                            let mut out = Vec::new();
-                            for &spec in todo.iter().skip(w).step_by(workers) {
-                                if opts.cancelled() {
-                                    break;
-                                }
-                                let rep = self.run_spec_resilient_in(&mut arena, spec, dog);
-                                if let Some(wr) = &mut writer {
-                                    wr.append(&rep)?;
-                                }
-                                out.push(rep);
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                let mut results = Vec::new();
-                for h in handles {
-                    results.push(h.join());
-                }
-                results
-            });
-            for r in results {
-                match r {
-                    Ok(Ok(v)) => fresh.extend(v),
-                    Ok(Err(e)) => return Err(e),
-                    Err(p) => {
-                        return Err(CampaignError::WorkerLost {
-                            detail: resilience::panic_detail(p),
-                        })
-                    }
-                }
-            }
-        }
-
-        for r in fresh {
-            done.insert(r.spec, r);
-        }
-        let mut reports = Vec::with_capacity(specs.len());
-        let mut interrupted = false;
-        for spec in specs {
-            match done.get(spec) {
-                Some(r) => reports.push(r.clone()),
-                None => interrupted = true,
-            }
-        }
-        Ok(CampaignReport {
-            reports,
-            resumed,
-            corrupt_lines,
-            interrupted,
-        })
-    }
-
-    fn dog_for(&self, opts: &ResilienceOptions) -> Watchdog {
-        opts.dog()
+    ) -> Result<SweepReport<SiteReport>, CampaignError> {
+        sweep::sweep(
+            &self.cc,
+            specs,
+            threads,
+            opts,
+            |r: &SiteReport| r.spec,
+            || self.arena(),
+            |arena, spec| Ok(self.run_spec_resilient_in(arena, spec, dog)),
+        )
     }
 }
 
@@ -681,6 +482,8 @@ impl Campaign {
 mod tests {
     use super::*;
     use noc_types::site::{FaultKind, SignalKind};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     fn small_campaign() -> Campaign {
         let mut noc = NocConfig::small_test();
@@ -722,7 +525,10 @@ mod tests {
             signal: SignalKind::VcOutVc,
             bit: 0,
         };
-        let r = c.run_site(site);
+        let r = c.run_spec_in(
+            &mut c.arena(),
+            FaultSpec::transient(site, c.injection_cycle()),
+        );
         if r.fault_hits == 0 {
             assert_eq!(r.outcome(Detector::NoCAlert), Outcome::TrueNegative);
             assert!(!r.malicious());
@@ -742,7 +548,7 @@ mod tests {
             bit: 1,
         };
         let spec = FaultSpec::permanent(site, c.injection_cycle());
-        let r = c.run_spec(spec);
+        let r = c.run_spec_in(&mut c.arena(), spec);
         assert!(r.fault_hits > 0, "node 5 injects within the window");
         assert!(r.nocalert.detected);
         assert_eq!(r.nocalert.latency, Some(r.nocalert.latency.unwrap()));
@@ -773,8 +579,9 @@ mod tests {
             bit: 1,
         };
         let spec = FaultSpec::permanent(site, c.injection_cycle());
-        let plain = c.run_spec(spec);
-        let (watched, hang) = c.run_spec_watched(spec, Watchdog::default_policy());
+        let plain = c.run_spec_in(&mut c.arena(), spec);
+        let (watched, hang) =
+            c.run_spec_watched_in(&mut c.arena(), spec, Watchdog::default_policy());
         assert!(hang.is_none());
         assert_eq!(plain, watched);
     }
@@ -794,7 +601,7 @@ mod tests {
             cycle_budget: 50, // far below active_window = 400
             stall_window: u64::MAX,
         };
-        let rep = c.run_spec_resilient(spec, dog);
+        let rep = c.run_spec_resilient_in(&mut c.arena(), spec, dog);
         match &rep.outcome {
             RunOutcome::Deadlock { hang, .. } => {
                 assert_eq!(hang.kind, fault::HangKind::CycleBudget);
@@ -822,7 +629,7 @@ mod tests {
             kind: FaultKind::Intermittent { period: 0, duty: 1 },
             start: c.injection_cycle(),
         };
-        let rep = c.run_spec_resilient(spec, Watchdog::default_policy());
+        let rep = c.run_spec_resilient_in(&mut c.arena(), spec, Watchdog::default_policy());
         match &rep.outcome {
             RunOutcome::Crashed {
                 payload, site: s, ..
@@ -855,8 +662,12 @@ mod tests {
             },
         );
         let opts = ResilienceOptions::default();
-        let seq = c.run_many_resilient(&specs, 1, &opts).unwrap();
-        let par = c.run_many_resilient(&specs, 4, &opts).unwrap();
+        let seq = c
+            .run_many_resilient(&specs, 1, Watchdog::default_policy(), &opts)
+            .unwrap();
+        let par = c
+            .run_many_resilient(&specs, 4, Watchdog::default_policy(), &opts)
+            .unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq.reports.len(), specs.len());
         assert_eq!(seq.crashed(), 1);
@@ -876,16 +687,21 @@ mod tests {
             checkpoint_dir: Some(dir.clone()),
             ..ResilienceOptions::default()
         };
-        c.run_many_resilient(&[spec], 1, &opts).unwrap();
+        c.run_many_resilient(&[spec], 1, Watchdog::default_policy(), &opts)
+            .unwrap();
         // Same dir, resume not requested: refuse rather than duplicate.
-        let err = c.run_many_resilient(&[spec], 1, &opts).unwrap_err();
+        let err = c
+            .run_many_resilient(&[spec], 1, Watchdog::default_policy(), &opts)
+            .unwrap_err();
         assert!(matches!(err, CampaignError::Checkpoint { .. }), "{err}");
         // With resume it is a no-op: everything already done.
         let resumed = ResilienceOptions {
             resume: true,
             ..opts
         };
-        let rep = c.run_many_resilient(&[spec], 1, &resumed).unwrap();
+        let rep = c
+            .run_many_resilient(&[spec], 1, Watchdog::default_policy(), &resumed)
+            .unwrap();
         assert_eq!(rep.resumed, 1);
         assert_eq!(rep.reports.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -908,7 +724,9 @@ mod tests {
             cancel: Some(flag),
             ..ResilienceOptions::default()
         };
-        let rep = c.run_many_resilient(&specs, 2, &opts).unwrap();
+        let rep = c
+            .run_many_resilient(&specs, 2, Watchdog::default_policy(), &opts)
+            .unwrap();
         assert!(rep.interrupted);
         assert!(rep.reports.is_empty());
         // Resume without the flag finishes the sweep; aggregates match an
@@ -918,10 +736,17 @@ mod tests {
             resume: true,
             ..ResilienceOptions::default()
         };
-        let rep = c.run_many_resilient(&specs, 2, &opts).unwrap();
+        let rep = c
+            .run_many_resilient(&specs, 2, Watchdog::default_policy(), &opts)
+            .unwrap();
         assert!(!rep.interrupted);
         let uninterrupted = c
-            .run_many_resilient(&specs, 1, &ResilienceOptions::default())
+            .run_many_resilient(
+                &specs,
+                1,
+                Watchdog::default_policy(),
+                &ResilienceOptions::default(),
+            )
             .unwrap();
         assert_eq!(rep.reports, uninterrupted.reports);
         std::fs::remove_dir_all(&dir).unwrap();

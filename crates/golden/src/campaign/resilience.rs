@@ -46,8 +46,9 @@ impl Drop for QuietGuard {
 }
 
 /// Renders a panic payload as a string (the two payload types `panic!`
-/// produces, with a fallback for exotic ones).
-fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
+/// produces, with a fallback for exotic ones) — for quarantined runs and
+/// for worker-thread join errors that escaped the per-run boundary.
+pub(crate) fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -57,20 +58,12 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Renders a worker-thread join error (a panic payload that escaped the
-/// per-run boundary) for [`CampaignError::WorkerLost`] reports.
-///
-/// [`CampaignError::WorkerLost`]: super::error::CampaignError::WorkerLost
-pub(crate) fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload_string(payload)
-}
-
 /// Runs `f` behind the panic-isolation boundary: `Ok(value)` on normal
 /// return, `Err(payload)` when `f` panicked. The panic is quarantined —
 /// nothing is printed and the unwinding stops here.
 pub fn catch_payload<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     let _quiet = QuietGuard::new();
-    panic::catch_unwind(AssertUnwindSafe(f)).map_err(payload_string)
+    panic::catch_unwind(AssertUnwindSafe(f)).map_err(panic_detail)
 }
 
 #[cfg(test)]

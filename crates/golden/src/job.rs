@@ -27,18 +27,19 @@
 //!   FNV-1a digest over the canonical report serialization — the
 //!   bit-identity comparator the service's tests pin.
 
-use crate::aging::{AgingError, AgingHarness, AgingOptions, EpochLog, EpochReport};
+use crate::aging::{AgingError, AgingHarness, AgingOptions, EpochReport};
 use crate::attack::{
-    standard_cells, AttackCampaign, AttackCampaignConfig, AttackCampaignOptions, AttackCellReport,
+    standard_cells, AttackCampaign, AttackCampaignConfig, AttackCellReport, AttackClass,
 };
 use crate::campaign::{
-    Campaign, CampaignConfig, CampaignError, ResilienceOptions, RunOutcome, SiteReport,
+    Campaign, CampaignConfig, CampaignError, Journal, ResilienceOptions, RunOutcome, SiteReport,
+    SweepReport,
 };
 use crate::recovery::{
     standard_recovery_specs, DeliveryVerdict, RecoveryCampaign, RecoveryCampaignConfig,
-    RecoveryCampaignOptions, RecoveryOptions, RecoverySiteReport,
+    RecoveryOptions, RecoverySiteReport,
 };
-use fault::FaultSpec;
+use fault::{FaultSpec, Watchdog};
 use noc_types::config::ConfigError;
 use noc_types::{
     ContainmentStep, Cycle, Incident, JobEvent, JobKind, JobResult, JobSpec, SimError,
@@ -46,7 +47,7 @@ use noc_types::{
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Serializes any compat-serde value to its canonical JSON string.
@@ -161,12 +162,6 @@ pub struct JobDriver {
 }
 
 impl JobDriver {
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
     /// Runs `spec` to completion (or cancellation), emitting progress
     /// and incident events to `on_event`, and returns the aggregate.
     ///
@@ -214,6 +209,51 @@ impl JobDriver {
         }
     }
 
+    /// Drives `units` through `run` in chunks of [`Self::chunk_size`],
+    /// emitting a [`JobEvent::Progress`] after each chunk and honouring
+    /// cancellation between chunks. The sweep engines key completed work
+    /// by unit, so the concatenated rows are chunk-oblivious.
+    fn run_chunked<K, R>(
+        &self,
+        spec: &JobSpec,
+        units: &[K],
+        run: impl Fn(&[K], &ResilienceOptions) -> Result<SweepReport<R>, CampaignError>,
+        on_event: &mut dyn FnMut(JobEvent),
+    ) -> Result<SweepReport<R>, CampaignError> {
+        let mut all = SweepReport {
+            reports: Vec::with_capacity(units.len()),
+            resumed: 0,
+            corrupt_lines: 0,
+            interrupted: false,
+        };
+        for (ix, chunk) in units.chunks(Self::chunk_size(spec)).enumerate() {
+            let opts = ResilienceOptions {
+                checkpoint_dir: self.checkpoint_dir.clone(),
+                // Chunks after the first land in a directory the first
+                // chunk populated; that is resumption by construction.
+                resume: self.resume || ix > 0,
+                cancel: self.cancel.clone(),
+            };
+            if opts.cancelled() {
+                all.interrupted = true;
+                break;
+            }
+            let part = run(chunk, &opts)?;
+            all.resumed += part.resumed;
+            all.corrupt_lines += part.corrupt_lines;
+            all.interrupted |= part.interrupted;
+            all.reports.extend(part.reports);
+            on_event(JobEvent::Progress {
+                done: all.reports.len() as u32,
+                total: units.len() as u32,
+            });
+            if all.interrupted {
+                break;
+            }
+        }
+        Ok(all)
+    }
+
     fn run_transient(
         &self,
         spec: &JobSpec,
@@ -231,45 +271,17 @@ impl JobDriver {
             .iter()
             .map(|&s| FaultSpec::transient(s, campaign.injection_cycle()))
             .collect();
-
-        let mut reports: Vec<SiteReport> = Vec::with_capacity(specs.len());
-        let mut resumed = 0usize;
-        let mut interrupted = false;
-        for (ix, chunk) in specs.chunks(Self::chunk_size(spec)).enumerate() {
-            if self.cancelled() {
-                interrupted = true;
-                break;
-            }
-            let opts = ResilienceOptions {
-                watchdog: None,
-                checkpoint_dir: self.checkpoint_dir.clone(),
-                // Chunks after the first land in a directory the first
-                // chunk populated; that is resumption by construction.
-                resume: self.resume || ix > 0,
-                cancel: self.cancel.clone(),
-            };
-            let part = campaign.run_many_resilient(chunk, spec.threads as usize, &opts)?;
-            resumed += part.resumed;
-            interrupted |= part.interrupted;
-            reports.extend(part.reports);
-            on_event(JobEvent::Progress {
-                done: reports.len() as u32,
-                total: specs.len() as u32,
-            });
-            if interrupted {
-                break;
-            }
-        }
-
-        let incidents: Vec<Incident> = reports
-            .iter()
-            .enumerate()
-            .map(|(id, r)| transient_incident(id as u32, r))
-            .collect();
-        for inc in &incidents {
-            on_event(JobEvent::Incident(inc.clone()));
-        }
-        let detected = reports
+        let done = self.run_chunked(
+            spec,
+            &specs,
+            |chunk, opts| {
+                let threads = spec.threads as usize;
+                campaign.run_many_resilient(chunk, threads, Watchdog::default_policy(), opts)
+            },
+            on_event,
+        )?;
+        let detected = done
+            .reports
             .iter()
             .filter(|r| {
                 r.outcome
@@ -277,19 +289,14 @@ impl JobDriver {
                     .is_some_and(|res| res.nocalert.detected)
             })
             .count();
-        Ok(JobResult {
-            digest: digest_rows(&reports),
-            summary: format!(
-                "transient: {}/{} sites ran, nocalert detected {}, resumed {}",
-                reports.len(),
-                specs.len(),
-                detected,
-                resumed
-            ),
-            incidents,
-            resumed: resumed as u32,
-            interrupted,
-        })
+        let summary = format!(
+            "transient: {}/{} sites ran, nocalert detected {}, resumed {}",
+            done.reports.len(),
+            specs.len(),
+            detected,
+            done.resumed
+        );
+        Ok(job_result(&done, transient_incident, summary, on_event))
     }
 
     fn run_recovery(
@@ -306,58 +313,20 @@ impl JobDriver {
         if let Some(limit) = spec.limit {
             specs.truncate(limit as usize);
         }
-
-        let mut reports: Vec<RecoverySiteReport> = Vec::with_capacity(specs.len());
-        let mut resumed = 0usize;
-        let mut interrupted = false;
-        for (ix, chunk) in specs.chunks(Self::chunk_size(spec)).enumerate() {
-            if self.cancelled() {
-                interrupted = true;
-                break;
-            }
-            let opts = RecoveryCampaignOptions {
-                checkpoint_dir: self.checkpoint_dir.clone(),
-                resume: self.resume || ix > 0,
-                cancel: self.cancel.clone(),
-            };
-            let part = campaign.run_specs(chunk, spec.threads as usize, &opts)?;
-            resumed += part.resumed;
-            interrupted |= part.interrupted;
-            reports.extend(part.reports);
-            on_event(JobEvent::Progress {
-                done: reports.len() as u32,
-                total: specs.len() as u32,
-            });
-            if interrupted {
-                break;
-            }
-        }
-
-        let incidents: Vec<Incident> = reports
-            .iter()
-            .enumerate()
-            .map(|(id, r)| recovery_incident(id as u32, r))
-            .collect();
-        for inc in &incidents {
-            on_event(JobEvent::Incident(inc.clone()));
-        }
-        let exactly_once = reports
-            .iter()
-            .filter(|r| r.run.verdict == DeliveryVerdict::ExactlyOnce)
-            .count();
-        Ok(JobResult {
-            digest: digest_rows(&reports),
-            summary: format!(
-                "recovery: {}/{} rollouts ran, {} exactly-once, resumed {}",
-                reports.len(),
-                specs.len(),
-                exactly_once,
-                resumed
-            ),
-            incidents,
-            resumed: resumed as u32,
-            interrupted,
-        })
+        let done = self.run_chunked(
+            spec,
+            &specs,
+            |chunk, opts| campaign.run_specs(chunk, spec.threads as usize, opts),
+            on_event,
+        )?;
+        let summary = format!(
+            "recovery: {}/{} rollouts ran, {} exactly-once, resumed {}",
+            done.reports.len(),
+            specs.len(),
+            done.exactly_once(),
+            done.resumed
+        );
+        Ok(job_result(&done, recovery_incident, summary, on_event))
     }
 
     fn run_attack(
@@ -383,60 +352,14 @@ impl JobDriver {
         if let Some(limit) = spec.limit {
             cells.truncate(limit as usize);
         }
-
-        let mut reports: Vec<AttackCellReport> = Vec::with_capacity(cells.len());
-        let mut resumed = 0usize;
-        let mut interrupted = false;
-        for (ix, chunk) in cells.chunks(Self::chunk_size(spec)).enumerate() {
-            if self.cancelled() {
-                interrupted = true;
-                break;
-            }
-            let opts = AttackCampaignOptions {
-                checkpoint_dir: self.checkpoint_dir.clone(),
-                resume: self.resume || ix > 0,
-                cancel: self.cancel.clone(),
-            };
-            let part = campaign.run_cells(chunk, spec.threads as usize, &opts)?;
-            resumed += part.resumed;
-            interrupted |= part.interrupted;
-            reports.extend(part.reports);
-            on_event(JobEvent::Progress {
-                done: reports.len() as u32,
-                total: cells.len() as u32,
-            });
-            if interrupted {
-                break;
-            }
-        }
-
-        let incidents: Vec<Incident> = reports
-            .iter()
-            .enumerate()
-            .map(|(id, r)| attack_incident(id as u32, r))
-            .collect();
-        for inc in &incidents {
-            on_event(JobEvent::Incident(inc.clone()));
-        }
-        let undetected_loss = reports
-            .iter()
-            .filter(|r| {
-                r.run.verdict != DeliveryVerdict::ExactlyOnce && r.run.first_evidence_at.is_none()
-            })
-            .count();
-        Ok(JobResult {
-            digest: digest_rows(&reports),
-            summary: format!(
-                "attack: {}/{} cells ran, {} undetected-loss, resumed {}",
-                reports.len(),
-                cells.len(),
-                undetected_loss,
-                resumed
-            ),
-            incidents,
-            resumed: resumed as u32,
-            interrupted,
-        })
+        let done = self.run_chunked(
+            spec,
+            &cells,
+            |chunk, opts| campaign.run_cells(chunk, spec.threads as usize, opts),
+            on_event,
+        )?;
+        let summary = attack_summary(&done, cells.len());
+        Ok(job_result(&done, attack_incident, summary, on_event))
     }
 
     /// The aging options a job spec maps to: smoke-scale for meshes up
@@ -469,8 +392,9 @@ impl JobDriver {
 
         let (prior, mut log) = match &self.checkpoint_dir {
             Some(dir) => {
-                let (rows, log) = EpochLog::open(dir, &opts, self.resume)?;
-                (rows, Some(log))
+                let journal = Journal::<AgingOptions, EpochReport>::open(dir, &opts)?;
+                let (rows, _torn) = journal.load(self.resume)?;
+                (rows, Some(journal.writer(0)?))
             }
             None => (Vec::new(), None),
         };
@@ -498,30 +422,68 @@ impl JobDriver {
             return Err(e);
         }
 
-        let incidents: Vec<Incident> = report
-            .epochs
-            .iter()
-            .enumerate()
-            .map(|(id, e)| aging_incident(id as u32, e))
-            .collect();
-        for inc in &incidents {
-            on_event(JobEvent::Incident(inc.clone()));
-        }
         let survived = report.epochs.iter().filter(|e| e.exactly_once).count();
-        Ok(JobResult {
-            digest: digest_rows(&report.epochs),
-            summary: format!(
-                "aging: {} epochs, {} exactly-once, partition at end: {}, resumed {}",
-                report.epochs.len(),
-                survived,
-                report.partition().is_some(),
-                resumed
-            ),
-            incidents,
-            resumed: resumed as u32,
+        let summary = format!(
+            "aging: {} epochs, {} exactly-once, partition at end: {}, resumed {}",
+            report.epochs.len(),
+            survived,
+            report.partition().is_some(),
+            resumed
+        );
+        let done = SweepReport {
+            reports: report.epochs,
+            resumed,
+            corrupt_lines: 0,
             interrupted: false,
-        })
+        };
+        Ok(job_result(&done, aging_incident, summary, on_event))
     }
+}
+
+/// Folds a job's finished rows into its result: one [`Incident`] per row
+/// in row order (each also emitted as a [`JobEvent::Incident`]), and the
+/// digest over the rows.
+fn job_result<R: Serialize>(
+    done: &SweepReport<R>,
+    incident: fn(u32, &R) -> Incident,
+    summary: String,
+    on_event: &mut dyn FnMut(JobEvent),
+) -> JobResult {
+    let incidents: Vec<Incident> = done
+        .reports
+        .iter()
+        .enumerate()
+        .map(|(id, r)| incident(id as u32, r))
+        .collect();
+    for inc in &incidents {
+        on_event(JobEvent::Incident(inc.clone()));
+    }
+    JobResult {
+        digest: digest_rows(&done.reports),
+        summary,
+        incidents,
+        resumed: done.resumed as u32,
+        interrupted: done.interrupted,
+    }
+}
+
+/// The attack job's one-line summary. A cell counts as an undetected
+/// loss exactly when the classifier put it in
+/// [`AttackClass::UndetectedLoss`] — the bucket the `attack` bench gates
+/// on; loud failures (crashes, give-ups, watchdog trips) are not.
+fn attack_summary(done: &SweepReport<AttackCellReport>, total: usize) -> String {
+    let undetected_loss = done
+        .reports
+        .iter()
+        .filter(|r| r.run.class == AttackClass::UndetectedLoss)
+        .count();
+    format!(
+        "attack: {}/{} cells ran, {} undetected-loss, resumed {}",
+        done.reports.len(),
+        total,
+        undetected_loss,
+        done.resumed
+    )
 }
 
 /// Maps an aging-harness error into the campaign error vocabulary the
@@ -740,6 +702,25 @@ mod tests {
         assert!(
             events.iter().any(|e| matches!(e, JobEvent::Incident(_))),
             "incident events must be emitted"
+        );
+    }
+
+    #[test]
+    fn crashed_attack_cells_are_not_undetected_losses() {
+        let cells = standard_cells(&small_noc(), &[4], 1, 300, 1);
+        let cell = cells[0];
+        let done = SweepReport {
+            reports: vec![AttackCellReport {
+                cell,
+                run: crate::AttackRun::crashed(cell.spec, cell.fault, "boom".into()),
+            }],
+            resumed: 0,
+            corrupt_lines: 0,
+            interrupted: false,
+        };
+        assert_eq!(
+            attack_summary(&done, 1),
+            "attack: 1/1 cells ran, 0 undetected-loss, resumed 0"
         );
     }
 

@@ -37,6 +37,7 @@
 pub mod aging;
 pub mod attack;
 pub mod campaign;
+mod closed_loop;
 pub mod job;
 pub mod oracle;
 pub mod recovery;
@@ -44,22 +45,22 @@ pub mod stats;
 
 pub use aging::{
     verdict_of, AgingError, AgingHarness, AgingOptions, AgingOutcome, AgingReport, EpochFault,
-    EpochLog, EpochReport,
+    EpochReport,
 };
 pub use attack::{
     classify as classify_attack, covered_fault_for, effective_interference, standard_cells,
-    AttackCampaign, AttackCampaignConfig, AttackCampaignOptions, AttackCampaignReport, AttackCell,
-    AttackCellReport, AttackClass, AttackHarness, AttackRun,
+    AttackCampaign, AttackCampaignConfig, AttackCell, AttackCellReport, AttackClass, AttackHarness,
+    AttackRun,
 };
 pub use campaign::{
-    outcome, Campaign, CampaignArena, CampaignConfig, CampaignError, CampaignReport, Checkpoint,
-    Detector, DetectorOutcome, Determinism, Outcome, ResilienceOptions, RunOutcome, RunResult,
-    SiteReport,
+    outcome, Campaign, CampaignArena, CampaignConfig, CampaignError, Detector, DetectorOutcome,
+    Determinism, Journal, Outcome, ResilienceOptions, RunOutcome, RunResult, SiteReport,
+    SweepReport,
 };
 pub use job::{digest_rows, GoldenCache, JobDriver};
 pub use oracle::{classify, GoldenReference, RunLog, Verdict, ViolationKind};
 pub use recovery::{
     containment_covered, standard_recovery_specs, verify_delivery, DeliveryVerdict,
-    RecoveryCampaign, RecoveryCampaignConfig, RecoveryCampaignOptions, RecoveryCampaignReport,
-    RecoveryHarness, RecoveryOptions, RecoveryOutcome, RecoveryRun, RecoverySiteReport,
+    RecoveryCampaign, RecoveryCampaignConfig, RecoveryHarness, RecoveryOptions, RecoveryOutcome,
+    RecoveryRun, RecoverySiteReport,
 };

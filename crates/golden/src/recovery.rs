@@ -24,22 +24,25 @@
 //! only when its output matches the active routing function's answer,
 //! re-derived from the recorded fence/region registers — so a misroute
 //! inside a degraded route is still caught.
+//!
+//! The loop itself — per-cycle alert delivery, the active window, the
+//! watched drain and the partition-outranks-hang classification — is the
+//! shared `closed_loop` driver, run here with the plain hook.
+//! [`RecoveryCampaign`] sweeps it over fault specs through the shared
+//! checkpointed sweep driver ([`crate::campaign::sweep`]).
 
-use crate::campaign::jsonl;
 use crate::campaign::resilience::catch_payload;
+use crate::campaign::sweep::{sweep, ResilienceOptions, SweepReport};
 use crate::campaign::CampaignError;
-use fault::{FaultSpec, Hang, HangKind, Watchdog};
+use crate::closed_loop::ClosedLoop;
+use fault::{FaultSpec, Hang, Watchdog};
 use noc_sim::{
     ArqConfig, ContainmentEvent, DeliveryRecord, Network, RecoveryPolicy, RecoveryStats, Transport,
     TransportStats,
 };
 use noc_types::{Cycle, NocConfig, SimError};
-use nocalert::{info, AlertBank};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 /// Everything configurable about one recovery rollout.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -158,6 +161,29 @@ pub struct RecoveryRun {
 }
 
 impl RecoveryRun {
+    /// The placeholder for a rollout that panicked with `panic`: a loud
+    /// (violated) verdict and empty counters.
+    pub fn crashed(spec: Option<FaultSpec>, panic: String) -> RecoveryRun {
+        RecoveryRun {
+            spec,
+            outcome: RecoveryOutcome::Crashed(panic),
+            verdict: DeliveryVerdict::Violated {
+                undelivered: 0,
+                gave_up: 0,
+                duplicates: 0,
+            },
+            transport: TransportStats::default(),
+            recovery: RecoveryStats::default(),
+            trace: Vec::new(),
+            deliveries: Vec::new(),
+            alerts: 0,
+            checkers: Vec::new(),
+            first_alert_at: None,
+            fault_hits: 0,
+            end_cycle: 0,
+        }
+    }
+
     /// Delivered-to-offered ratio in `[0, 1]` (1.0 when nothing was
     /// offered).
     pub fn delivery_ratio(&self) -> f64 {
@@ -171,13 +197,17 @@ impl RecoveryRun {
     /// Wire overhead beyond one transmission per message: retransmissions
     /// plus control packets, per offered message.
     pub fn overhead_per_message(&self) -> f64 {
-        if self.transport.offered == 0 {
-            return 0.0;
-        }
-        let extra =
-            self.transport.retransmits + self.transport.acks_sent + self.transport.nacks_sent;
-        extra as f64 / self.transport.offered as f64
+        overhead_per_message(&self.transport)
     }
+}
+
+/// Retransmissions plus control packets per offered message (0 when
+/// nothing was offered).
+pub(crate) fn overhead_per_message(t: &TransportStats) -> f64 {
+    if t.offered == 0 {
+        return 0.0;
+    }
+    (t.retransmits + t.acks_sent + t.nacks_sent) as f64 / t.offered as f64
 }
 
 /// Judges the transport's end state against exactly-once semantics.
@@ -255,11 +285,6 @@ impl RecoveryHarness {
         Ok(RecoveryHarness { cfg, opts })
     }
 
-    /// The options the harness runs with.
-    pub fn options(&self) -> &RecoveryOptions {
-        &self.opts
-    }
-
     /// The cycle at which the measurement window ends and draining begins.
     pub fn active_end(&self) -> Cycle {
         self.opts.warmup.saturating_add(self.opts.active_window)
@@ -281,92 +306,22 @@ impl RecoveryHarness {
         spec: Option<&FaultSpec>,
         prepare: impl FnOnce(&mut Network),
     ) -> RecoveryRun {
-        let mut net = Network::new(self.cfg.clone());
-        net.enable_recovery(self.opts.policy);
-        prepare(&mut net);
-        let mut bank = AlertBank::new(&self.cfg);
-        // The full bank stays armed: the turn/progress checkers (inv 1/3)
-        // are region-aware — degraded routes around fenced ports and
-        // fault-region detours are excused per-RC-execution against the
-        // recorded routing registers, not by disarming the checkers.
-        let mut transport = Transport::new(&self.cfg, self.opts.arq);
+        let mut lp = ClosedLoop::new(&self.cfg, self.opts.policy, self.opts.arq);
+        prepare(&mut lp.net);
         if let Some(s) = spec {
-            net.arm_fault(s.site, s.kind, s.start);
+            lp.net.arm_fault(s.site, s.kind, s.start);
         }
-
-        let dog = self.opts.watchdog;
-        let active_end = self.active_end();
-        let mut consumed = 0usize;
-        let mut hang: Option<Hang> = None;
-
-        while net.cycle() < active_end {
-            if net.cycle() >= dog.cycle_budget {
-                hang = Some(Hang {
-                    kind: HangKind::CycleBudget,
-                    at_cycle: net.cycle(),
-                    stalled_for: 0,
-                });
-                break;
-            }
-            self.step_once(&mut net, &mut bank, &mut transport, &mut consumed);
-        }
-
-        if hang.is_none() {
-            net.set_injection_enabled(false);
-            let mut sig = net.progress_signature();
-            let mut stalled: Cycle = 0;
-            loop {
-                if net.is_drained() && transport.quiescent() {
-                    break;
-                }
-                if net.cycle() >= dog.cycle_budget {
-                    hang = Some(Hang {
-                        kind: HangKind::CycleBudget,
-                        at_cycle: net.cycle(),
-                        stalled_for: stalled,
-                    });
-                    break;
-                }
-                // A non-quiescent transport is waiting on an armed
-                // retransmission timer — progress resumes by construction,
-                // so the stall check only applies once it has nothing left.
-                if transport.quiescent() && stalled >= dog.stall_window {
-                    hang = Some(Hang {
-                        kind: HangKind::NoProgress,
-                        at_cycle: net.cycle(),
-                        stalled_for: stalled,
-                    });
-                    break;
-                }
-                self.step_once(&mut net, &mut bank, &mut transport, &mut consumed);
-                let now = net.progress_signature();
-                if now == sig {
-                    stalled += 1;
-                } else {
-                    sig = now;
-                    stalled = 0;
-                }
-            }
-        }
-
-        let verdict = verify_delivery(&transport);
-        // Partition classification outranks the watchdog: a mesh split in
-        // two genuinely cannot deliver cross-partition traffic, and
-        // reporting that as `Hung` would blame the routing for a topology
-        // fact.
-        let partition = net
-            .fault_region_map()
-            .filter(|m| m.partitioned())
-            .map(|m| m.live_components());
-        let outcome = match (partition, hang) {
-            (Some(components), _) => RecoveryOutcome::Partitioned { components },
-            (None, Some(h)) => RecoveryOutcome::Hung(h),
-            (None, None) => RecoveryOutcome::Quiescent,
-        };
+        let outcome = lp.rollout(self.active_end(), self.opts.watchdog, &mut ());
+        let ClosedLoop {
+            net,
+            bank,
+            transport,
+            ..
+        } = &lp;
         RecoveryRun {
             spec: spec.copied(),
             outcome,
-            verdict,
+            verdict: verify_delivery(transport),
             transport: transport.stats(),
             recovery: net.recovery_stats(),
             trace: net.recovery_trace().to_vec(),
@@ -380,53 +335,11 @@ impl RecoveryHarness {
     }
 
     /// [`RecoveryHarness::run`] behind the campaign panic-isolation
-    /// boundary: a panicking rollout becomes a `Crashed` report instead of
-    /// taking the sweep down.
+    /// boundary: a panicking rollout becomes a [`RecoveryRun::crashed`]
+    /// report instead of taking the sweep down.
     pub fn run_isolated(&self, spec: Option<&FaultSpec>) -> RecoveryRun {
-        match catch_payload(|| self.run(spec)) {
-            Ok(run) => run,
-            Err(panic) => RecoveryRun {
-                spec: spec.copied(),
-                outcome: RecoveryOutcome::Crashed(panic),
-                verdict: DeliveryVerdict::Violated {
-                    undelivered: 0,
-                    gave_up: 0,
-                    duplicates: 0,
-                },
-                transport: TransportStats::default(),
-                recovery: RecoveryStats::default(),
-                trace: Vec::new(),
-                deliveries: Vec::new(),
-                alerts: 0,
-                checkers: Vec::new(),
-                first_alert_at: None,
-                fault_hits: 0,
-                end_cycle: 0,
-            },
-        }
-    }
-
-    /// One simulated cycle of the closed loop: step the network under the
-    /// checker bank and the transport, hand fresh alerts to containment
-    /// (applied by the network at the start of the next cycle — the
-    /// one-cycle reaction latency of a real alert wire), then let the
-    /// transport fabricate control packets and fire timers.
-    fn step_once(
-        &self,
-        net: &mut Network,
-        bank: &mut AlertBank,
-        transport: &mut Transport,
-        consumed: &mut usize,
-    ) {
-        net.step_observed(&mut (&mut *bank, &mut *transport));
-        let fresh = bank.events_since(*consumed);
-        *consumed = bank.assertions().len();
-        for ev in fresh {
-            if let Some(module) = info(ev.checker).module {
-                net.notify_alert(ev.router, ev.port, ev.vc, module.port_is_output());
-            }
-        }
-        transport.post_step(net);
+        catch_payload(|| self.run(spec))
+            .unwrap_or_else(|panic| RecoveryRun::crashed(spec.copied(), panic))
     }
 }
 
@@ -477,22 +390,7 @@ pub struct RecoverySiteReport {
     pub run: RecoveryRun,
 }
 
-/// Aggregated campaign result, in input-spec order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryCampaignReport {
-    /// One report per input spec (specs missing after a cancelled sweep
-    /// are absent and flagged via `interrupted`).
-    pub reports: Vec<RecoverySiteReport>,
-    /// Specs restored from the journal instead of re-run.
-    pub resumed: usize,
-    /// Torn trailing journal lines skipped on resume (mid-shard
-    /// corruption is refused as a structured error, never skipped).
-    pub corrupt_lines: usize,
-    /// True when cancellation stopped the sweep before every spec ran.
-    pub interrupted: bool,
-}
-
-impl RecoveryCampaignReport {
+impl SweepReport<RecoverySiteReport> {
     /// Rollouts whose delivery verdict was exactly-once.
     pub fn exactly_once(&self) -> usize {
         self.reports
@@ -502,50 +400,10 @@ impl RecoveryCampaignReport {
     }
 }
 
-/// Resilience knobs of the recovery sweep (mirrors
-/// [`crate::campaign::ResilienceOptions`]).
-#[derive(Debug, Default)]
-pub struct RecoveryCampaignOptions {
-    /// Journal directory for kill-safe incremental progress.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Load previously completed specs from the journal instead of
-    /// refusing a populated directory.
-    pub resume: bool,
-    /// Cooperative cancellation flag, checked between rollouts.
-    pub cancel: Option<Arc<AtomicBool>>,
-}
-
-impl RecoveryCampaignOptions {
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// The recovery journal: `meta.json` pins the configuration,
-/// `shard-w<worker>.jsonl` holds one [`RecoverySiteReport`] per line.
-/// Durability semantics are the shared [`jsonl`] substrate's.
-#[derive(Debug, Clone)]
-struct RecoveryJournal {
-    dir: PathBuf,
-}
-
-impl RecoveryJournal {
-    fn open(
-        dir: impl Into<PathBuf>,
-        cc: &RecoveryCampaignConfig,
-    ) -> Result<RecoveryJournal, CampaignError> {
-        let dir = dir.into();
-        jsonl::ensure_meta(&dir, 1, cc)?;
-        Ok(RecoveryJournal { dir })
-    }
-}
-
-/// The recovery sweep driver: panic isolation per rollout, optional
-/// JSONL journalling with resume, cooperative cancellation, and
-/// round-robin worker sharding. Reports are reassembled in input-spec
-/// order, so the aggregate is bit-identical for any worker count.
+/// The recovery sweep: every spec rolled out behind the panic-isolation
+/// boundary through the shared checkpointed sweep driver (journal,
+/// resume, cancellation, round-robin workers), so the aggregate is
+/// bit-identical for any worker count.
 #[derive(Debug, Clone)]
 pub struct RecoveryCampaign {
     cc: RecoveryCampaignConfig,
@@ -564,11 +422,6 @@ impl RecoveryCampaign {
         Ok(RecoveryCampaign { cc, harness })
     }
 
-    /// The campaign's configuration.
-    pub fn config(&self) -> &RecoveryCampaignConfig {
-        &self.cc
-    }
-
     /// Runs every spec, `threads`-wide. One report per input spec, in
     /// input order; specs already present in a resumed journal are not
     /// re-run.
@@ -581,134 +434,22 @@ impl RecoveryCampaign {
         &self,
         specs: &[FaultSpec],
         threads: usize,
-        opts: &RecoveryCampaignOptions,
-    ) -> Result<RecoveryCampaignReport, CampaignError> {
-        let journal = match &opts.checkpoint_dir {
-            Some(dir) => Some(RecoveryJournal::open(dir, &self.cc)?),
-            None => None,
-        };
-        let mut done: HashMap<FaultSpec, RecoverySiteReport> = HashMap::new();
-        let mut corrupt_lines = 0usize;
-        if let Some(j) = &journal {
-            let (reports, corrupt) = jsonl::load_shards::<RecoverySiteReport>(&j.dir)?;
-            if !opts.resume && !reports.is_empty() {
-                return Err(CampaignError::Checkpoint {
-                    path: j.dir.clone(),
-                    detail: format!(
-                        "directory already holds {} completed rollouts; pass resume=true to continue or point at a fresh directory",
-                        reports.len()
-                    ),
-                });
-            }
-            if opts.resume {
-                corrupt_lines = corrupt;
-                for r in reports {
-                    done.insert(r.spec, r); // later shards win on duplicates
-                }
-            }
-        }
-        let resumed = specs.iter().filter(|s| done.contains_key(s)).count();
-        let todo: Vec<FaultSpec> = specs
-            .iter()
-            .copied()
-            .filter(|s| !done.contains_key(s))
-            .collect();
-
-        let run_spec = |spec: &FaultSpec| -> RecoverySiteReport {
-            RecoverySiteReport {
-                spec: *spec,
-                run: self.harness.run_isolated(Some(spec)),
-            }
-        };
-
-        let mut fresh: Vec<RecoverySiteReport> = Vec::new();
-        if threads <= 1 || todo.len() < 2 {
-            let mut writer = match &journal {
-                Some(j) => Some(jsonl::Appender::open_shard(&j.dir, 0)?),
-                None => None,
-            };
-            for spec in &todo {
-                if opts.cancelled() {
-                    break;
-                }
-                let rep = run_spec(spec);
-                if let Some(w) = &mut writer {
-                    w.append(&rep)?;
-                }
-                fresh.push(rep);
-            }
-        } else {
-            // Round-robin sharding, like the fault campaigns: worker `w`
-            // takes specs `w`, `w+workers`, …, so the shard a rollout
-            // lands in is a pure function of its index and the worker
-            // count.
-            let workers = threads.min(todo.len());
-            let mut writers: Vec<Option<jsonl::Appender>> = Vec::new();
-            for i in 0..workers {
-                writers.push(match &journal {
-                    Some(j) => Some(jsonl::Appender::open_shard(&j.dir, i)?),
-                    None => None,
-                });
-            }
-            let todo = &todo;
-            let run_spec = &run_spec;
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = writers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, mut writer)| {
-                        scope.spawn(move || -> Result<Vec<RecoverySiteReport>, CampaignError> {
-                            let mut out = Vec::new();
-                            for spec in todo.iter().skip(w).step_by(workers) {
-                                if opts.cancelled() {
-                                    break;
-                                }
-                                let rep = run_spec(spec);
-                                if let Some(wr) = &mut writer {
-                                    wr.append(&rep)?;
-                                }
-                                out.push(rep);
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                let mut results = Vec::new();
-                for h in handles {
-                    results.push(h.join());
-                }
-                results
-            });
-            for r in results {
-                match r {
-                    Ok(Ok(v)) => fresh.extend(v),
-                    Ok(Err(e)) => return Err(e),
-                    Err(p) => {
-                        return Err(CampaignError::WorkerLost {
-                            detail: format!("{p:?}"),
-                        })
-                    }
-                }
-            }
-        }
-
-        for r in fresh {
-            done.insert(r.spec, r);
-        }
-        let mut reports = Vec::with_capacity(specs.len());
-        let mut interrupted = false;
-        for spec in specs {
-            match done.get(spec) {
-                Some(r) => reports.push(r.clone()),
-                None => interrupted = true,
-            }
-        }
-        Ok(RecoveryCampaignReport {
-            reports,
-            resumed,
-            corrupt_lines,
-            interrupted,
-        })
+        opts: &ResilienceOptions,
+    ) -> Result<SweepReport<RecoverySiteReport>, CampaignError> {
+        sweep(
+            &self.cc,
+            specs,
+            threads,
+            opts,
+            |r: &RecoverySiteReport| r.spec,
+            || (),
+            |_, spec| {
+                Ok(RecoverySiteReport {
+                    spec,
+                    run: self.harness.run_isolated(Some(&spec)),
+                })
+            },
+        )
     }
 }
 
@@ -774,9 +515,9 @@ mod tests {
         assert_eq!(specs.len(), 4);
         let dir = std::env::temp_dir().join(format!("nocalert-rcamp-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = RecoveryCampaignOptions {
+        let opts = ResilienceOptions {
             checkpoint_dir: Some(dir.clone()),
-            ..RecoveryCampaignOptions::default()
+            ..ResilienceOptions::default()
         };
         let first = campaign.run_specs(&specs, 2, &opts).expect("first run");
         assert_eq!(first.reports.len(), 4);
@@ -792,7 +533,7 @@ mod tests {
             .run_specs(
                 &specs,
                 3,
-                &RecoveryCampaignOptions {
+                &ResilienceOptions {
                     checkpoint_dir: Some(dir.clone()),
                     resume: true,
                     cancel: None,
@@ -804,7 +545,7 @@ mod tests {
 
         // A memory-only run at yet another worker count agrees too.
         let direct = campaign
-            .run_specs(&specs, 1, &RecoveryCampaignOptions::default())
+            .run_specs(&specs, 1, &ResilienceOptions::default())
             .expect("direct");
         assert_eq!(direct.reports, first.reports);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -36,7 +36,10 @@ fn reused_arena_matches_fresh_runs_for_every_fault_class() {
         FaultSpec::stuck_at(sites[59], false, at),
         FaultSpec::stuck_at(sites[23], true, at),
     ];
-    let fresh: Vec<String> = specs.iter().map(|&s| json(&c.run_spec(s))).collect();
+    let fresh: Vec<String> = specs
+        .iter()
+        .map(|&s| json(&c.run_spec_in(&mut c.arena(), s)))
+        .collect();
 
     let mut arena = c.arena();
     let reused: Vec<String> = specs
@@ -58,7 +61,7 @@ fn arena_reuse_after_watchdog_truncation_is_clean() {
     let sites = enumerate_sites(&c.config().noc);
     let at = c.injection_cycle();
     let spec = FaultSpec::transient(sites[5], at);
-    let want = json(&c.run_spec(spec));
+    let want = json(&c.run_spec_in(&mut c.arena(), spec));
 
     // A tight cycle budget terminates the dirtying run mid-flight, leaving
     // worms in buffers and a half-written log in the arena.

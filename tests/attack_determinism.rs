@@ -7,8 +7,8 @@
 
 use fault::Watchdog;
 use golden::{
-    standard_cells, AttackCampaign, AttackCampaignConfig, AttackCampaignOptions, AttackCell,
-    RecoveryOptions,
+    standard_cells, AttackCampaign, AttackCampaignConfig, AttackCell, RecoveryOptions,
+    ResilienceOptions,
 };
 use noc_types::NocConfig;
 use std::path::PathBuf;
@@ -56,9 +56,9 @@ fn attack_matrix_is_bit_identical_across_worker_counts() {
             .run_cells(
                 &cells,
                 threads,
-                &AttackCampaignOptions {
+                &ResilienceOptions {
                     checkpoint_dir: Some(dir.clone()),
-                    ..AttackCampaignOptions::default()
+                    ..ResilienceOptions::default()
                 },
             )
             .unwrap()
@@ -76,10 +76,10 @@ fn attack_matrix_is_bit_identical_across_worker_counts() {
             .run_cells(
                 &cells,
                 2,
-                &AttackCampaignOptions {
+                &ResilienceOptions {
                     checkpoint_dir: Some(dir.clone()),
                     resume: true,
-                    ..AttackCampaignOptions::default()
+                    ..ResilienceOptions::default()
                 },
             )
             .unwrap();
@@ -99,7 +99,7 @@ fn interrupted_attack_sweep_resumes_to_the_uninterrupted_aggregates() {
 
     // Reference: uninterrupted, no journalling.
     let reference = campaign
-        .run_cells(&cells, 1, &AttackCampaignOptions::default())
+        .run_cells(&cells, 1, &ResilienceOptions::default())
         .unwrap();
     assert!(!reference.interrupted);
 
@@ -120,7 +120,7 @@ fn interrupted_attack_sweep_resumes_to_the_uninterrupted_aggregates() {
         .run_cells(
             &cells,
             1,
-            &AttackCampaignOptions {
+            &ResilienceOptions {
                 checkpoint_dir: Some(dir.clone()),
                 cancel: Some(flag),
                 resume: false,
@@ -139,7 +139,7 @@ fn interrupted_attack_sweep_resumes_to_the_uninterrupted_aggregates() {
         .run_cells(
             &cells,
             3,
-            &AttackCampaignOptions {
+            &ResilienceOptions {
                 checkpoint_dir: Some(dir.clone()),
                 resume: true,
                 cancel: None,

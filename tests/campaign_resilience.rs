@@ -80,14 +80,13 @@ fn campaign_with_crash_and_deadlock_completes_with_structured_outcomes() {
     let mut specs = transient_specs(&c, 12);
     specs.insert(3, poisoned_spec(&c));
     specs.insert(7, deadlocking_spec(&c));
-    let opts = ResilienceOptions {
-        watchdog: Some(Watchdog {
-            cycle_budget: u64::MAX,
-            stall_window: 200,
-        }),
-        ..ResilienceOptions::default()
+    let dog = Watchdog {
+        cycle_budget: u64::MAX,
+        stall_window: 200,
     };
-    let report = c.run_many_resilient(&specs, 2, &opts).unwrap();
+    let report = c
+        .run_many_resilient(&specs, 2, dog, &ResilienceOptions::default())
+        .unwrap();
 
     assert_eq!(report.reports.len(), specs.len(), "every site reported");
     assert!(!report.interrupted);
@@ -148,7 +147,12 @@ fn resume_after_interruption_reproduces_aggregates_for_any_worker_count() {
 
     // Reference: uninterrupted, no checkpointing, single-threaded.
     let reference = c
-        .run_many_resilient(&specs, 1, &ResilienceOptions::default())
+        .run_many_resilient(
+            &specs,
+            1,
+            Watchdog::default_policy(),
+            &ResilienceOptions::default(),
+        )
         .unwrap();
     let ref_stats = breakdown(&reference.results(), Detector::NoCAlert);
 
@@ -169,6 +173,7 @@ fn resume_after_interruption_reproduces_aggregates_for_any_worker_count() {
         .run_many_resilient(
             &specs,
             1,
+            Watchdog::default_policy(),
             &ResilienceOptions {
                 checkpoint_dir: Some(dir.clone()),
                 cancel: Some(flag),
@@ -188,6 +193,7 @@ fn resume_after_interruption_reproduces_aggregates_for_any_worker_count() {
         .run_many_resilient(
             &specs,
             4,
+            Watchdog::default_policy(),
             &ResilienceOptions {
                 checkpoint_dir: Some(dir.clone()),
                 resume: true,
@@ -214,6 +220,7 @@ fn checkpointed_workers_are_bit_identical_across_thread_counts() {
         c.run_many_resilient(
             &specs,
             threads,
+            Watchdog::default_policy(),
             &ResilienceOptions {
                 checkpoint_dir: Some(dir.clone()),
                 ..ResilienceOptions::default()
@@ -232,6 +239,7 @@ fn checkpointed_workers_are_bit_identical_across_thread_counts() {
             .run_many_resilient(
                 &specs,
                 2,
+                Watchdog::default_policy(),
                 &ResilienceOptions {
                     checkpoint_dir: Some(dir.clone()),
                     resume: true,

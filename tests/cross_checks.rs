@@ -134,16 +134,19 @@ fn forever_epoch_length_trades_latency_for_false_positives() {
         };
         let campaign = Campaign::new(cc);
         // A suppressed buffer write on a busy port wedges a wormhole.
-        let r = campaign.run_spec(fault::FaultSpec::permanent(
-            SiteRef {
-                router: 5,
-                port: 4,
-                vc: 0,
-                signal: noc_types::site::SignalKind::BufWrite,
-                bit: 0,
-            },
-            campaign.injection_cycle(),
-        ));
+        let r = campaign.run_spec_in(
+            &mut campaign.arena(),
+            fault::FaultSpec::permanent(
+                SiteRef {
+                    router: 5,
+                    port: 4,
+                    vc: 0,
+                    signal: noc_types::site::SignalKind::BufWrite,
+                    bit: 0,
+                },
+                campaign.injection_cycle(),
+            ),
+        );
         if r.malicious() && r.forever.detected {
             latencies.push((epoch, r.forever.latency.unwrap()));
         }
@@ -169,7 +172,10 @@ fn run_result_serializes_to_json() {
     };
     let campaign = Campaign::new(cc);
     let site = enumerate_sites(&cfg)[0];
-    let r = campaign.run_site(site);
+    let r = campaign.run_spec_in(
+        &mut campaign.arena(),
+        fault::FaultSpec::transient(site, campaign.injection_cycle()),
+    );
     let json = serde_json::to_string(&r).expect("serialize");
     assert!(json.contains("\"site\""));
     assert!(json.contains("\"verdict\""));

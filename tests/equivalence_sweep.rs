@@ -145,8 +145,11 @@ fn persistent_fault_campaign_matches_snapshot() {
     let start = campaign.injection_cycle();
     let mut out = Vec::new();
     for site in sites {
-        out.push(campaign.run_spec(FaultSpec::permanent(site, start)));
-        out.push(campaign.run_spec(FaultSpec::intermittent(site, 50, 10, start)));
+        out.push(campaign.run_spec_in(&mut campaign.arena(), FaultSpec::permanent(site, start)));
+        out.push(campaign.run_spec_in(
+            &mut campaign.arena(),
+            FaultSpec::intermittent(site, 50, 10, start),
+        ));
     }
     check("obs3_persistent_results", &out);
 }

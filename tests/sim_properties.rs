@@ -133,7 +133,10 @@ fn single_bit_faults_never_produce_undetected_violations() {
         let campaign = Campaign::new(cc);
         let sites = enumerate_sites(&cfg);
         let site = sites[rng.gen_range(0usize..5_000) % sites.len()];
-        let r = campaign.run_site(site);
+        let r = campaign.run_spec_in(
+            &mut campaign.arena(),
+            fault::FaultSpec::transient(site, campaign.injection_cycle()),
+        );
         if r.malicious() {
             assert!(
                 r.nocalert.detected,
