@@ -4,32 +4,50 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo fmt --check =="
+# Each gate prints its wall-clock when the next one starts; the total
+# comes last.
+ci_start=$(date +%s)
+step_start=$ci_start
+step_name=""
+step() {
+    local now
+    now=$(date +%s)
+    if [ -n "$step_name" ]; then
+        echo "-- $step_name: $((now - step_start)) s"
+    fi
+    step_name="$1"
+    step_start=$now
+    if [ -n "$step_name" ]; then
+        echo "== $step_name =="
+    fi
+}
+
+step "cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (deny warnings) =="
+step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== noc-lint (static verification) =="
+step "noc-lint (static verification)"
 # Fan the heavier passes out across the runner's cores (stdout is
 # byte-identical for every --jobs value) and report per-pass wall-clock
 # timing on stderr.
 JOBS="$(nproc 2>/dev/null || echo 2)"
 cargo run -q --release -p nocalert-analysis --bin noc-lint -- --jobs "$JOBS" --timings
 
-echo "== recovery smoke (one fault per class, 100% delivery) =="
+step "recovery smoke (one fault per class, 100% delivery)"
 cargo run -q --release -p nocalert-bench --bin recovery -- --smoke
 
-echo "== attack smoke (every attacker model loud: detected or mitigated) =="
+step "attack smoke (every attacker model loud: detected or mitigated)"
 cargo run -q --release -p nocalert-bench --bin attack -- --smoke
 
-echo "== aging smoke (accumulating faults to an honest partition) =="
+step "aging smoke (accumulating faults to an honest partition)"
 cargo run -q --release -p nocalert-bench --bin aging -- --smoke
 
-echo "== perf smoke (>15% cycles/sec + campaign runs/sec regression gate) =="
+step "perf smoke (>15% cycles/sec + campaign runs/sec regression gate)"
 cargo run -q --release -p nocalert-bench --bin perf -- --smoke
 
-echo "== service smoke (nocalertd end-to-end: submit, stream, SIGKILL, resume) =="
+step "service smoke (nocalertd end-to-end: submit, stream, SIGKILL, resume)"
 cargo build -q --release -p nocalert-service
 NOCALERTD=target/release/nocalertd
 SVC_DIR="$(mktemp -d)"
@@ -62,10 +80,11 @@ SVC_PID=0
 rm -rf "$SVC_DIR"
 trap - EXIT
 
-echo "== benchmark self-test (committed JobDriver digests, every workload) =="
+step "benchmark self-test (committed JobDriver digests, every workload)"
 python3 perfbench/selftest.py
 
-echo "== cargo test =="
+step "cargo test"
 cargo test -q --workspace
 
-echo "CI OK"
+step ""
+echo "CI OK in $(( $(date +%s) - ci_start )) s"

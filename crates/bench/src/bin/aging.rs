@@ -20,18 +20,16 @@
 //! a four-row cut) with the same acceptance bar.
 //!
 //! With `--checkpoint-dir`, every settled epoch row is appended to
-//! `shard-w0.jsonl` and flushed immediately through a [`golden::Journal`]
-//! (the same journal the campaign checkpoints and `nocalertd` jobs
-//! use); `--resume` re-simulates the stored prefix
+//! `shard-w0.jsonl` and flushed immediately through
+//! [`golden::AgingHarness::open_journal`] (the same journal `nocalertd`
+//! aging jobs open); `--resume` re-simulates the stored prefix
 //! deterministically and *verifies each recomputed row is bit-identical*
 //! (including the fault-region state digest) before continuing — a
 //! diverging checkpoint is a fatal error, not a silent fork. A
 //! populated directory without `--resume` is refused rather than
 //! overwritten.
 
-use golden::{
-    AgingError, AgingHarness, AgingOptions, AgingOutcome, AgingReport, EpochReport, Journal,
-};
+use golden::{AgingError, AgingHarness, AgingOptions, AgingOutcome, AgingReport, EpochReport};
 use nocalert_bench::{maybe_write_json, row, Args};
 
 fn fail(msg: &str) -> ! {
@@ -163,13 +161,10 @@ fn main() {
     );
 
     let (prior, mut log) = match args.str("checkpoint-dir") {
-        Some(d) => {
-            let opened = Journal::<AgingOptions, EpochReport>::open(d, &opts).and_then(|j| {
-                let (prior, _torn) = j.load(args.flag("resume"))?;
-                Ok((prior, Some(j.writer(0)?)))
-            });
-            opened.unwrap_or_else(|e| fail(&format!("checkpoint: {e}")))
-        }
+        Some(d) => match harness.open_journal(d, args.flag("resume")) {
+            Ok((prior, writer)) => (prior, Some(writer)),
+            Err(e) => fail(&format!("checkpoint: {e}")),
+        },
         None => (Vec::new(), None),
     };
     if !prior.is_empty() {

@@ -57,6 +57,8 @@
 //! a silent fork. Rows are checkpointed in a [`crate::Journal`] pinned to
 //! the [`AgingOptions`], one worker shard (`shard-w0.jsonl`).
 
+use crate::campaign::jsonl::Appender;
+use crate::campaign::{CampaignError, Journal};
 use crate::closed_loop::ClosedLoop;
 use crate::recovery::{containment_covered, DeliveryVerdict};
 use fault::Watchdog;
@@ -67,6 +69,7 @@ use noc_types::{
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::path::PathBuf;
 
 /// Everything configurable about one aging campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -423,6 +426,26 @@ impl AgingHarness {
     /// The options the harness runs with.
     pub fn options(&self) -> &AgingOptions {
         &self.opts
+    }
+
+    /// Opens the harness's checkpoint journal in `dir`, pinned to its
+    /// options, with the single shard `shard-w0.jsonl`: the rows
+    /// checkpointed so far (none unless `resume`), for [`Self::run`] to
+    /// verify, and the appender for the rows still to come.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError`] from [`Journal::open`], [`Journal::load`] and
+    /// [`Journal::writer`]: I/O failures, a directory belonging to other
+    /// options, or a populated directory without `resume`.
+    pub fn open_journal(
+        &self,
+        dir: impl Into<PathBuf>,
+        resume: bool,
+    ) -> Result<(Vec<EpochReport>, Appender), CampaignError> {
+        let journal = Journal::<AgingOptions, EpochReport>::open(dir, &self.opts)?;
+        let (rows, _torn) = journal.load(resume)?;
+        Ok((rows, journal.writer(0)?))
     }
 
     /// The deterministic epoch plan: organic faults first, then the cut

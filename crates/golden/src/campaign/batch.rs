@@ -8,10 +8,11 @@
 //! producing **bit-identical** [`RunResult`]s:
 //!
 //! * **Golden trajectory cache** ([`GoldenTrajectory`]) — one extra
-//!   golden rollout per campaign records the full injection/ejection
-//!   event streams, the drain end, and a geometric ladder of network
-//!   checkpoints at `injection + {1, 2, 4, …}` cycles (plus the active
-//!   end). Built lazily, shared read-only across worker threads.
+//!   golden rollout per campaign records its injection/ejection event
+//!   streams from the snapshot on, the drain end, and a geometric ladder
+//!   of network checkpoints at `injection + {1, 2, 4, …}` cycles (plus
+//!   the active end). Built lazily, shared read-only across worker
+//!   threads.
 //!
 //! * **Prefix sharing** — a transient armed for a *later* cycle leaves
 //!   the network bit-identical to golden until it fires, so the lane
@@ -49,7 +50,7 @@
 //! active window.
 
 use super::{Campaign, CampaignArena, RunResult};
-use crate::oracle::{classify, Verdict};
+use crate::oracle::{RunLog, Verdict};
 use fault::{drain_watched, FaultSpec, Hang, StallMeter, Watchdog};
 use noc_sim::{ArmedFault, Network, NullObserver, Observer};
 use noc_types::record::CycleRecord;
@@ -69,8 +70,10 @@ pub(crate) struct GoldenTrajectory {
     /// end, in cycle order. Geometric spacing bounds the overshoot past
     /// the true re-convergence instant by 2×.
     ladder: Vec<Network>,
-    /// Warm-up plus full golden rollout event streams (cycle-ordered).
-    log: crate::oracle::RunLog,
+    /// The golden rollout's event streams from the snapshot on
+    /// (cycle-ordered); the warm-up's are folded into the campaign's
+    /// oracle already.
+    log: RunLog,
     /// The golden rollout drained (it must; `Campaign::try_new` verified
     /// a golden rollout already).
     drained: bool,
@@ -101,7 +104,7 @@ impl Campaign {
         let mut net = self.snapshot.clone();
         let mut bank = self.bank0.clone();
         let mut fv = self.forever0.clone();
-        let mut log = self.log0.clone();
+        let mut log = RunLog::new();
         let mut ladder = Vec::new();
         let mut next = 1u64;
         for k in 1..=self.cc.active_window {
@@ -134,7 +137,7 @@ impl Campaign {
         for _ in 0..(2 * self.cc.forever_epoch + 1) {
             net.step_observed(&mut (&mut bank, &mut fv, &mut log));
         }
-        let clean_verdict = classify(&self.golden, &log, drained);
+        let clean_verdict = self.classify_rollout(&mut self.oracle0.clone(), &log, drained);
         // `state_eq(self)` is false exactly when recovery is enabled —
         // the same condition under which lane convergence could never be
         // certified.
@@ -218,6 +221,7 @@ impl Campaign {
             bank,
             forever: fv,
             log,
+            oracle,
         } = arena;
         // Prefix sharing: until the transient fires, the lane is
         // bit-identical to golden — jump to the last checkpoint at or
@@ -259,7 +263,7 @@ impl Campaign {
             let fault_hits = net.fault_hits();
             let coda_end = traj.end_cycle + 2 * self.cc.forever_epoch + 1;
             self.replay_golden(traj, from, coda_end, &mut (&mut *bank, &mut *fv, &mut *log));
-            let verdict = classify(&self.golden, log, traj.drained);
+            let verdict = self.classify_rollout(oracle, log, traj.drained);
             return Some((self.assemble(spec, fault_hits, verdict, bank, fv), None));
         }
         // Never re-converged within the active window: finish the rollout
@@ -274,7 +278,7 @@ impl Campaign {
         if hang.is_none() {
             self.coda(net, &mut (&mut *bank, &mut *fv, &mut *log));
         }
-        let verdict = classify(&self.golden, log, drained);
+        let verdict = self.classify_rollout(oracle, log, drained);
         Some((
             self.assemble(spec, net.fault_hits(), verdict, bank, fv),
             hang,

@@ -46,7 +46,7 @@ pub use outcome::{
 };
 pub use sweep::{ResilienceOptions, SweepReport};
 
-use crate::oracle::{classify, GoldenReference, RunLog};
+use crate::oracle::{Classifier, GoldenReference, RunLog, Verdict};
 use fault::{rollout, rollout_watched, FaultSpec, Hang, Watchdog};
 use forever::Forever;
 use noc_sim::Network;
@@ -132,38 +132,44 @@ impl SweepReport<SiteReport> {
 
 /// A prepared injection campaign: warmed snapshot + golden reference.
 ///
-/// The detectors and the run log are threaded through the warm-up once and
+/// The detectors and the oracle are threaded through the warm-up once and
 /// their warmed states are cloned into every rollout — checkers observe
 /// the network from cycle 0, exactly like the hardware they model, so a
 /// packet that is mid-flight at the injection instant never looks like a
-/// violation.
+/// violation. The warm-up's run log is not kept: its ejections are folded
+/// into `oracle0` once, and every rollout logs only what happens after
+/// the snapshot.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     cc: CampaignConfig,
     snapshot: Network,
     bank0: AlertBank,
     forever0: Forever,
-    log0: RunLog,
     golden: GoldenReference,
+    /// The oracle's state after the warm-up's ejections: each rollout's
+    /// classification resumes from here.
+    oracle0: Classifier,
     /// Lazily built golden trajectory cache backing the batched rollout
-    /// engine ([`batch`]): checkpoint ladder, full golden event streams,
-    /// and eligibility flags. Built on first batched use, shared
+    /// engine ([`batch`]): checkpoint ladder, post-snapshot golden event
+    /// streams, and eligibility flags. Built on first batched use, shared
     /// read-only across worker threads.
     traj: OnceLock<batch::GoldenTrajectory>,
 }
 
-/// Reusable per-worker simulation state: one network, detector pair and
-/// run log that campaign rollouts rewind (via `clone_from`) and reuse
-/// instead of reconstructing per site. Rewinding restores every field
-/// from the warm snapshot, so results are bit-identical to fresh-cloned
-/// runs — the steady-state cost per site is a memcpy-shaped reset, not
-/// thousands of allocations.
+/// Reusable per-worker simulation state: one network, detector pair,
+/// post-snapshot run log and oracle scratch that campaign rollouts rewind
+/// (via `clone_from`) and reuse instead of reconstructing per site.
+/// Rewinding restores every field to the warm snapshot — the log to
+/// empty, the oracle to the folded warm-up — so results are bit-identical
+/// to fresh-cloned runs; the steady-state cost per site is a
+/// memcpy-shaped reset, not thousands of allocations.
 #[derive(Debug, Clone)]
 pub struct CampaignArena {
     net: Network,
     bank: AlertBank,
     forever: Forever,
     log: RunLog,
+    oracle: Classifier,
 }
 
 impl Campaign {
@@ -214,7 +220,7 @@ impl Campaign {
         }
         let snapshot = net;
         let mut gnet = snapshot.clone();
-        let mut glog = log0.clone();
+        let mut glog = RunLog::new();
         let out = rollout(
             &mut gnet,
             None,
@@ -222,14 +228,16 @@ impl Campaign {
             cc.drain_deadline,
             &mut glog,
         );
-        let golden = GoldenReference::try_from_log(&glog, out.drained)?;
+        let golden = GoldenReference::try_from_logs(&[&log0, &glog], out.drained)?;
+        let mut oracle0 = Classifier::new(&golden);
+        oracle0.feed(&golden, &log0.ejected);
         Ok(Campaign {
             cc,
             snapshot,
             bank0,
             forever0,
-            log0,
             golden,
+            oracle0,
             traj: OnceLock::new(),
         })
     }
@@ -264,7 +272,8 @@ impl Campaign {
             net: self.snapshot.clone(),
             bank: self.bank0.clone(),
             forever: self.forever0.clone(),
-            log: self.log0.clone(),
+            log: RunLog::new(),
+            oracle: self.oracle0.clone(),
         }
     }
 
@@ -296,6 +305,7 @@ impl Campaign {
             bank,
             forever: fv,
             log,
+            oracle,
         } = arena;
         let watched = rollout_watched(
             net,
@@ -311,7 +321,7 @@ impl Campaign {
             self.coda(net, &mut (&mut *bank, &mut *fv, &mut *log));
         }
         let out = watched.outcome;
-        let verdict = classify(&self.golden, log, out.drained);
+        let verdict = self.classify_rollout(oracle, log, out.drained);
         let result = self.assemble(spec, out.fault_hits, verdict, bank, fv);
         (result, watched.hang)
     }
@@ -321,7 +331,16 @@ impl Campaign {
         arena.net.clone_from(&self.snapshot);
         arena.bank.clone_from(&self.bank0);
         arena.forever.clone_from(&self.forever0);
-        arena.log.clone_from(&self.log0);
+        arena.log.reset();
+        arena.oracle.clone_from(&self.oracle0);
+    }
+
+    /// The golden-reference verdict of a rollout from its post-snapshot
+    /// `log`, continuing a rewound `oracle` (the folded warm-up): equal
+    /// to [`crate::classify`] over the warm-up log followed by `log`.
+    fn classify_rollout(&self, oracle: &mut Classifier, log: &RunLog, drained: bool) -> Verdict {
+        oracle.feed(&self.golden, &log.ejected);
+        oracle.verdict(&self.golden, drained)
     }
 
     /// Coda: keep the clock running past the next two ForEVeR epoch
@@ -345,7 +364,7 @@ impl Campaign {
         &self,
         spec: FaultSpec,
         fault_hits: u64,
-        verdict: crate::oracle::Verdict,
+        verdict: Verdict,
         bank: &AlertBank,
         fv: &Forever,
     ) -> RunResult {
@@ -481,6 +500,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{classify, ViolationKind};
     use noc_types::site::{FaultKind, SignalKind};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
@@ -498,15 +518,155 @@ mod tests {
         Campaign::new(cc)
     }
 
+    /// Re-runs `c`'s warm-up to recover the log the campaign folds and
+    /// drops: the simulator is deterministic, so this is the same log.
+    fn warm_log(c: &Campaign) -> RunLog {
+        let mut net = Network::new(c.cc.noc.clone());
+        let mut bank = AlertBank::new(&c.cc.noc);
+        let mut fv = Forever::new(&c.cc.noc, c.cc.forever_epoch);
+        let mut log = RunLog::new();
+        for _ in 0..c.cc.warmup {
+            net.step_observed(&mut (&mut bank, &mut fv, &mut log));
+        }
+        assert!(net.state_eq(&c.snapshot));
+        log
+    }
+
+    /// `warm` followed by `post`: the full log of a rollout.
+    fn concat(warm: &RunLog, post: &RunLog) -> RunLog {
+        let mut full = warm.clone();
+        full.injected.extend_from_slice(&post.injected);
+        full.ejected.extend_from_slice(&post.ejected);
+        full
+    }
+
+    /// The warm-folded verdict of a post-snapshot log.
+    fn folded(c: &Campaign, post: &RunLog, drained: bool) -> Verdict {
+        c.classify_rollout(&mut c.oracle0.clone(), post, drained)
+    }
+
+    /// The fault-free rollout from the snapshot, as the campaign's golden
+    /// run logged it.
+    fn golden_post(c: &Campaign) -> RunLog {
+        let mut net = c.snapshot.clone();
+        let mut log = RunLog::new();
+        let out = rollout(&mut net, None, 400, 10_000, &mut log);
+        assert!(out.drained);
+        log
+    }
+
     #[test]
     fn golden_reference_is_clean_against_itself() {
         let c = small_campaign();
         // A fault-free "injection" (no site armed) must be a clean run.
-        let mut net = c.snapshot.clone();
-        let mut log = c.log0.clone();
-        let out = rollout(&mut net, None, 400, 10_000, &mut log);
-        let verdict = classify(&c.golden, &log, out.drained);
+        let post = golden_post(&c);
+        let verdict = folded(&c, &post, true);
         assert!(!verdict.malicious(), "{verdict:?}");
+        assert_eq!(
+            verdict,
+            classify(&c.golden, &concat(&warm_log(&c), &post), true)
+        );
+    }
+
+    #[test]
+    fn warm_up_flit_ejected_again_after_the_snapshot_is_a_duplicate() {
+        let c = small_campaign();
+        let warm = warm_log(&c);
+        let mut post = golden_post(&c);
+        let mut again = warm.ejected[0].clone();
+        again.cycle = c.injection_cycle() + 1;
+        post.ejected.insert(0, again);
+        let full = concat(&warm, &post);
+        for drained in [true, false] {
+            let verdict = folded(&c, &post, drained);
+            // A re-delivered flit is behind its packet's sequence, too.
+            assert_eq!(
+                verdict.violations,
+                vec![ViolationKind::Duplicate, ViolationKind::OutOfOrder]
+            );
+            assert_eq!(verdict, classify(&c.golden, &full, drained));
+        }
+    }
+
+    #[test]
+    fn missing_post_snapshot_golden_delivery_is_dropped_or_stuck() {
+        let c = small_campaign();
+        let warm = warm_log(&c);
+        let mut post = golden_post(&c);
+        // A tail flit, so no later flit of its packet looks out of order.
+        let tail = post.ejected.iter().rposition(|e| e.flit.is_tail());
+        post.ejected
+            .remove(tail.expect("the golden rollout delivers packets"));
+        let full = concat(&warm, &post);
+        for (drained, kind) in [
+            (true, ViolationKind::FlitDropped),
+            (false, ViolationKind::NotDrained),
+        ] {
+            let verdict = folded(&c, &post, drained);
+            assert_eq!(verdict.violations, vec![kind]);
+            assert_eq!(verdict, classify(&c.golden, &full, drained));
+        }
+    }
+
+    /// The differential pinning the warm fold: over a stride sample of
+    /// sites, on the scalar path, the batched path and watchdog-truncated
+    /// scalar runs, classifying the arena's post-snapshot log from the
+    /// folded warm-up gives `classify` over the full concatenated log, and
+    /// the reported verdict is that verdict for one drain status.
+    #[test]
+    fn warm_folded_classification_equals_full_log_classify() {
+        let c = small_campaign();
+        let warm = warm_log(&c);
+        let inj = c.injection_cycle();
+        let truncating = Watchdog {
+            cycle_budget: 50,
+            stall_window: u64::MAX,
+        };
+        let check = |arena: &CampaignArena, got: &Verdict, what: &str| {
+            let full = concat(&warm, &arena.log);
+            let whole = [true, false].map(|d| classify(&c.golden, &full, d));
+            assert_eq!(
+                whole,
+                [true, false].map(|d| folded(&c, &arena.log, d)),
+                "{what}"
+            );
+            assert!(whole.contains(got), "{what}: {got:?} not in {whole:?}");
+        };
+        let mut arena = c.arena();
+        let sites = fault::sample::stride(&fault::enumerate_sites(&c.cc.noc), 12);
+        let mut malicious = 0;
+        for (i, &site) in sites.iter().enumerate() {
+            let spec = FaultSpec::transient(site, inj + (i as Cycle * 31) % c.cc.active_window);
+            let (r, _) = c.run_spec_watched_in(&mut arena, spec, Watchdog::OFF);
+            check(&arena, &r.verdict, &format!("scalar {spec:?}"));
+            malicious += usize::from(r.malicious());
+            let (r, _) = c
+                .run_transient_batched_in(&mut arena, spec, Watchdog::OFF)
+                .expect("in-window transient under an infinite watchdog");
+            check(&arena, &r.verdict, &format!("batched {spec:?}"));
+            let permanent = FaultSpec::permanent(site, inj);
+            let (r, hang) = c.run_spec_watched_in(&mut arena, permanent, truncating);
+            assert!(hang.is_some(), "{permanent:?}");
+            check(&arena, &r.verdict, &format!("truncated {permanent:?}"));
+            assert!(r.verdict.violations.contains(&ViolationKind::NotDrained));
+        }
+        assert!(malicious > 0, "the sample should exercise a violation");
+    }
+
+    #[test]
+    fn rewound_arena_carries_no_warm_up_log() {
+        let c = small_campaign();
+        let mut arena = c.arena();
+        assert!(arena.log.injected.is_empty() && arena.log.ejected.is_empty());
+        let site = fault::enumerate_sites(&c.cc.noc)[0];
+        c.run_spec_in(&mut arena, FaultSpec::permanent(site, c.injection_cycle()));
+        assert!(!arena.log.ejected.is_empty());
+        c.rewind(&mut arena);
+        assert!(arena.log.injected.is_empty() && arena.log.ejected.is_empty());
+        assert_eq!(
+            arena.oracle.verdict(&c.golden, true),
+            c.oracle0.verdict(&c.golden, true)
+        );
     }
 
     #[test]

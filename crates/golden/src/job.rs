@@ -32,8 +32,7 @@ use crate::attack::{
     standard_cells, AttackCampaign, AttackCampaignConfig, AttackCellReport, AttackClass,
 };
 use crate::campaign::{
-    Campaign, CampaignConfig, CampaignError, Journal, ResilienceOptions, RunOutcome, SiteReport,
-    SweepReport,
+    Campaign, CampaignConfig, CampaignError, ResilienceOptions, RunOutcome, SiteReport, SweepReport,
 };
 use crate::recovery::{
     standard_recovery_specs, DeliveryVerdict, RecoveryCampaign, RecoveryCampaignConfig,
@@ -386,15 +385,13 @@ impl JobDriver {
         spec: &JobSpec,
         on_event: &mut dyn FnMut(JobEvent),
     ) -> Result<JobResult, CampaignError> {
-        let opts = Self::aging_options(spec);
-        let harness = AgingHarness::try_new(opts.clone()).map_err(aging_err)?;
+        let harness = AgingHarness::try_new(Self::aging_options(spec)).map_err(aging_err)?;
         let total = harness.plan().len() as u32;
 
         let (prior, mut log) = match &self.checkpoint_dir {
             Some(dir) => {
-                let journal = Journal::<AgingOptions, EpochReport>::open(dir, &opts)?;
-                let (rows, _torn) = journal.load(self.resume)?;
-                (rows, Some(journal.writer(0)?))
+                let (rows, writer) = harness.open_journal(dir, self.resume)?;
+                (rows, Some(writer))
             }
             None => (Vec::new(), None),
         };

@@ -224,7 +224,7 @@ fn handle_connection(
     let request = match http::read_request(&stream) {
         Ok(r) => r,
         Err(e) => {
-            return http::respond_error(&mut stream, 400, "Bad Request", &e.to_string());
+            return http::respond_error(&mut stream, e.status, e.reason, &e.detail);
         }
     };
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();

@@ -281,3 +281,35 @@ fn sse_incident_stream_for_one_fault_job() {
         "stored incidents diverged from streamed ones"
     );
 }
+
+/// Hostile input: a header line that never ends gets a 431 answer, and
+/// the daemon keeps serving.
+#[test]
+fn oversized_header_is_refused_and_the_daemon_survives() {
+    use std::io::{Read, Write};
+    let data_dir = temp_dir("headers");
+    let server = Server::start(&data_dir, "only");
+    let mut stream = std::net::TcpStream::connect(&server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    // A header line exactly at the cap and without its newline: the
+    // server has read everything sent when it refuses, so it closes
+    // cleanly and the reply is not lost to a reset.
+    let name = b"X-Big: ";
+    let mut head = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    head.extend_from_slice(name);
+    head.resize(head.len() + http::MAX_HEADER_LINE - name.len(), b'a');
+    stream.write_all(&head).expect("write head");
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(
+        reply.starts_with("HTTP/1.1 431 "),
+        "unexpected reply: {reply}"
+    );
+    let (status, body) = http::request(&server.addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!((status, body.as_str()), (200, "ok"));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
