@@ -75,6 +75,22 @@ SVC_PID=$!
 for _ in $(seq 1 100); do [ -s "$SVC_DIR/addr2" ] && break; sleep 0.1; done
 SVC_ADDR="$(cat "$SVC_DIR/addr2")"
 "$NOCALERTD" wait --addr "$SVC_ADDR" --job "$JOB2" --timeout-secs 300
+# Hostile input: a deeply nested JSON body gets a 400, and the daemon
+# keeps answering.
+svc_status() { # METHOD PATH [BODY] -> the daemon's status line
+    local body="${3:-}" line=""
+    exec 3<>"/dev/tcp/${SVC_ADDR%:*}/${SVC_ADDR##*:}"
+    printf '%s %s HTTP/1.1\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s' \
+        "$1" "$2" "${#body}" "$body" >&3
+    IFS= read -r line <&3 || true
+    exec 3<&-
+    printf '%s\n' "${line%$'\r'}"
+}
+NESTED="$(printf '%10000s' '' | tr ' ' '[')"
+STATUS="$(svc_status POST /jobs "$NESTED")"
+[ "$STATUS" = "HTTP/1.1 400 Bad Request" ] || { echo "service smoke: nested body got '$STATUS'" >&2; exit 1; }
+STATUS="$(svc_status GET /healthz)"
+[ "$STATUS" = "HTTP/1.1 200 OK" ] || { echo "service smoke: /healthz got '$STATUS'" >&2; exit 1; }
 kill -9 "$SVC_PID" 2>/dev/null || true; wait "$SVC_PID" 2>/dev/null || true
 SVC_PID=0
 rm -rf "$SVC_DIR"

@@ -203,11 +203,13 @@ impl Value {
         }
     }
 
-    /// Parses a JSON document. Trailing non-whitespace is an error.
+    /// Parses a JSON document. Trailing non-whitespace is an error, and
+    /// so is nesting arrays and objects deeper than [`MAX_DEPTH`].
     pub fn parse_json(input: &str) -> Result<Value, DeError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -240,9 +242,16 @@ fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`Value::parse_json`] accepts.
+/// The parser recurses once per level, so without a bound a small
+/// document of repeated `[` would overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -290,57 +299,76 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(DeError::new(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(DeError::new(format!("bad array at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let k = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    let v = self.value()?;
-                    fields.push((k, v));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(DeError::new(format!("bad object at byte {}", self.pos))),
-                    }
-                }
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
             }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(DeError::new(format!("unexpected byte at {}", self.pos))),
+        }
+    }
+
+    /// The rest of an array whose `[` was consumed.
+    fn array(&mut self) -> Result<Value, DeError> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err(DeError::new(format!("bad array at byte {}", self.pos))),
+            }
+        }
+    }
+
+    /// The rest of an object whose `{` was consumed.
+    fn object(&mut self) -> Result<Value, DeError> {
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let k = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let v = self.value()?;
+            fields.push((k, v));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(fields));
+                }
+                _ => return Err(DeError::new(format!("bad object at byte {}", self.pos))),
+            }
         }
     }
 
@@ -816,5 +844,51 @@ mod tests {
         assert!(Value::parse_json("[1,]").is_err());
         assert!(Value::parse_json("12 34").is_err());
         assert!(Value::parse_json("\"unterminated").is_err());
+    }
+
+    /// `depth` arrays, each holding the next, around `null`.
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}null{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    /// `depth` objects, each holding the next under key `"k"`, around
+    /// `null`.
+    fn nested_objects(depth: usize) -> String {
+        format!("{}null{}", "{\"k\":".repeat(depth), "}".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_at_the_cap_parses() {
+        let mut v = Value::parse_json(&nested_arrays(MAX_DEPTH)).unwrap();
+        for _ in 0..MAX_DEPTH {
+            let Value::Array(mut items) = v else {
+                panic!("expected an array");
+            };
+            v = items.pop().unwrap();
+        }
+        assert_eq!(v, Value::Null);
+        let mut v = Value::parse_json(&nested_objects(MAX_DEPTH)).unwrap();
+        for _ in 0..MAX_DEPTH {
+            v = v.get("k").unwrap().clone();
+        }
+        assert_eq!(v, Value::Null);
+        // Depth is nesting, not a count of containers.
+        let wide = format!("[{}]", vec![nested_arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(Value::parse_json(&wide).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error() {
+        for doc in [
+            nested_arrays(MAX_DEPTH + 1),
+            nested_objects(MAX_DEPTH + 1),
+            format!("{{\"k\":{}}}", nested_arrays(MAX_DEPTH)),
+            // Far past the cap, unterminated: refused without recursing
+            // once per byte.
+            "[".repeat(1 << 20),
+        ] {
+            let err = Value::parse_json(&doc).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
     }
 }

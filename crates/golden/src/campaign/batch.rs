@@ -24,8 +24,9 @@
 //!   lane steps (observers attached, so every divergent cycle is really
 //!   observed) and compares against golden checkpoints with
 //!   [`Network::state_eq`]. Once the *network* state matches — detector
-//!   state may differ; detections are history, not dynamics — the rest of
-//!   the run is a pure function of the golden trajectory: the remaining
+//!   state and the `NetStats`/NIC odometers may differ; detections and
+//!   odometer readings are history, not dynamics — the rest of the run
+//!   is a pure function of the golden trajectory: the remaining
 //!   cycles are completed without stepping by replaying the cached golden
 //!   eject/inject streams (plus one empty cycle record per cycle, which
 //!   drives the ForEVeR epoch clock) through the lane's own observers.
@@ -426,6 +427,7 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
+    use noc_types::site::{SignalKind, SiteRef};
     use noc_types::NocConfig;
 
     fn small_campaign() -> Campaign {
@@ -438,6 +440,53 @@ mod tests {
             drain_deadline: 10_000,
             forever_epoch: 300,
         })
+    }
+
+    /// Steps `spec`'s lane from the snapshot along the resync ladder, as
+    /// the engine does, and returns it at the first rung where it is
+    /// `state_eq` to golden, together with that rung.
+    fn resync(c: &Campaign, spec: FaultSpec) -> Option<(Network, &Network)> {
+        let mut net = c.snapshot.clone();
+        net.arm_fault(spec.site, spec.kind, spec.start);
+        for ck in &c.trajectory().ladder {
+            while net.cycle() < ck.cycle() {
+                net.step_observed(&mut NullObserver);
+            }
+            if net.state_eq(ck) {
+                return Some((net, ck));
+            }
+        }
+        None
+    }
+
+    /// Transients of [`small_campaign`], injected at the snapshot cycle,
+    /// whose lanes re-converge to golden in everything but the
+    /// `NetStats` odometers: a later delivery (`latency_sum`), extra or
+    /// fewer hops (`forwarded_flits`), a lost or repeated delivery
+    /// (`ejected_flits`); at rungs from 4 to the active end.
+    const ODOMETER_ONLY: [(u16, u8, u8, SignalKind, u8); 6] = [
+        (0, 1, 0, SignalKind::Va1Req, 2),
+        (0, 4, 0, SignalKind::VcEvRcDone, 0),
+        (6, 4, 0, SignalKind::Sa2Req, 3),
+        (9, 0, 0, SignalKind::BufRead, 0),
+        (10, 2, 2, SignalKind::BufRead, 0),
+        (13, 4, 0, SignalKind::XbarCol, 2),
+    ];
+
+    /// [`ODOMETER_ONLY`] as transients at the snapshot cycle.
+    fn odometer_only_specs(c: &Campaign) -> impl Iterator<Item = FaultSpec> + '_ {
+        ODOMETER_ONLY
+            .iter()
+            .map(|&(router, port, vc, signal, bit)| {
+                let site = SiteRef {
+                    router,
+                    port,
+                    vc,
+                    signal,
+                    bit,
+                };
+                FaultSpec::transient(site, c.injection_cycle())
+            })
     }
 
     /// The differential sweep pinning the engine: every fault class at
@@ -484,11 +533,27 @@ mod tests {
         let c = small_campaign();
         let inj = c.injection_cycle();
         let sites = fault::sample::stride(&fault::enumerate_sites(&c.cc.noc), 5);
+        let mut specs: Vec<FaultSpec> = sites
+            .iter()
+            .enumerate()
+            .map(|(i, &site)| {
+                FaultSpec::transient(site, inj + (i as Cycle * 37) % c.cc.active_window)
+            })
+            .collect();
+        for spec in odometer_only_specs(&c) {
+            let Some((lane, ck)) = resync(&c, spec) else {
+                panic!("{spec:?} must re-converge");
+            };
+            assert_ne!(
+                lane.stats(),
+                ck.stats(),
+                "{spec:?} must differ in the odometers"
+            );
+            specs.push(spec);
+        }
         let mut scalar = c.arena();
         let mut batched = c.arena();
-        for (i, &site) in sites.iter().enumerate() {
-            let start = inj + (i as Cycle * 37) % c.cc.active_window;
-            let spec = FaultSpec::transient(site, start);
+        for spec in specs {
             let (want, want_hang) = c.run_spec_watched_in(&mut scalar, spec, Watchdog::OFF);
             let Some((got, got_hang)) =
                 c.run_transient_batched_in(&mut batched, spec, Watchdog::OFF)
@@ -501,6 +566,37 @@ mod tests {
             assert_eq!(batched.bank.assertions(), scalar.bank.assertions());
             assert!(batched.forever.state_eq(&scalar.forever), "{spec:?}");
             assert_eq!(batched.log, scalar.log, "{spec:?}");
+        }
+    }
+
+    /// An odometer-only lane's signature differs from golden's by a
+    /// constant, so through the drain and past it the real `StallMeter`
+    /// counts the same stalls on both.
+    #[test]
+    fn odometer_only_lanes_stall_like_golden() {
+        let c = small_campaign();
+        for spec in odometer_only_specs(&c) {
+            let Some((mut lane, ck)) = resync(&c, spec) else {
+                panic!("{spec:?} must re-converge");
+            };
+            let mut gold = ck.clone();
+            lane.set_injection_enabled(false);
+            gold.set_injection_enabled(false);
+            let (mut m_lane, mut m_gold) = (StallMeter::new(&lane), StallMeter::new(&gold));
+            let mut stalled = 0;
+            while stalled < 100 {
+                lane.step_observed(&mut NullObserver);
+                gold.step_observed(&mut NullObserver);
+                stalled = m_gold.observe(&gold);
+                assert_eq!(
+                    m_lane.observe(&lane),
+                    stalled,
+                    "{spec:?} at {}",
+                    gold.cycle()
+                );
+                assert_eq!(lane.is_drained(), gold.is_drained());
+            }
+            assert!(gold.is_drained());
         }
     }
 

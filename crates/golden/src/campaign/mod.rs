@@ -529,6 +529,7 @@ mod tests {
             net.step_observed(&mut (&mut bank, &mut fv, &mut log));
         }
         assert!(net.state_eq(&c.snapshot));
+        assert_eq!(net.stats(), c.snapshot.stats());
         log
     }
 

@@ -584,13 +584,20 @@ impl Network {
 
     /// Structural equality of the stepped machine state: two networks for
     /// which this holds produce bit-identical futures under identical
-    /// stepping and (inert or equal) fault planes. Compared: cycle,
-    /// routers, NICs (minus the RNG, which is a pure function of the cycle
-    /// count — see [`Nic::state_eq`]), packet/uid counters, injection
-    /// gate, stats and the fault-region map. The fault plane and reused
-    /// scratch buffers are excluded; networks with recovery enabled are
-    /// never equal (recovery state is not comparable, and callers that
-    /// rely on this equality fall back to plain stepping there).
+    /// stepping and (inert or equal) fault planes.
+    ///
+    /// The rule: a field is compared iff [`Network::step_observed`] or a
+    /// cycle record reads it. Compared: cycle, routers (stale VC-slot
+    /// contents included — the cycle record's head-kind wires expose
+    /// them), NICs (see [`Nic::state_eq`]), packet/uid counters, injection
+    /// gate and the fault-region map. Excluded: the [`NetStats`]
+    /// odometers, which stepping only ever adds to (so two networks that
+    /// differ only there keep the same difference forever, and
+    /// [`Network::progress_signature`] changes on exactly the same
+    /// cycles), the fault plane and reused scratch buffers. Networks with
+    /// recovery or an attacker are never equal (that state is not
+    /// comparable, and callers that rely on this equality fall back to
+    /// plain stepping there).
     pub fn state_eq(&self, other: &Network) -> bool {
         self.cycle == other.cycle
             && self.recovery.is_none()
@@ -600,7 +607,6 @@ impl Network {
             && self.next_packet == other.next_packet
             && self.next_uid == other.next_uid
             && self.injection_enabled == other.injection_enabled
-            && self.stats == other.stats
             && self.region_dirty == other.region_dirty
             && self.region == other.region
             && self.nics.len() == other.nics.len()
@@ -1271,6 +1277,107 @@ mod tests {
         assert_eq!(ea, eb);
         assert_eq!(net.cycle(), 800);
         let _ = net;
+    }
+
+    /// Every observable event of one stepped cycle, in callback order.
+    #[derive(Default, PartialEq, Debug)]
+    struct CycleEvents {
+        records: Vec<(Cycle, CycleRecord)>,
+        injected: Vec<(Cycle, Flit)>,
+        ejected: Vec<EjectEvent>,
+    }
+
+    impl Observer for CycleEvents {
+        fn on_cycle_record(&mut self, cycle: Cycle, rec: &CycleRecord) {
+            self.records.push((cycle, rec.clone()));
+        }
+        fn on_inject(&mut self, cycle: Cycle, flit: &Flit) {
+            self.injected.push((cycle, *flit));
+        }
+        fn on_eject(&mut self, ev: &EjectEvent) {
+            self.ejected.push(ev.clone());
+        }
+    }
+
+    /// The stall rule of `fault::StallMeter` (which `noc-sim` cannot
+    /// depend on): a cycle is stalled iff the progress signature is
+    /// unchanged since the previous one.
+    struct Stalls {
+        sig: (u64, u64, u64),
+        stalled: Cycle,
+    }
+
+    impl Stalls {
+        fn observe(&mut self, net: &Network) -> Cycle {
+            let now = net.progress_signature();
+            if now == self.sig {
+                self.stalled += 1;
+            } else {
+                self.sig = now;
+                self.stalled = 0;
+            }
+            self.stalled
+        }
+    }
+
+    /// `NetStats` and the NIC counters are odometers: a network whose
+    /// odometers are offset arbitrarily emits the same events, stays
+    /// `state_eq`, keeps a constant signature offset and stalls on the
+    /// same cycles, through traffic and a drain.
+    #[test]
+    fn odometer_offsets_change_no_future() {
+        let mut cfg = NocConfig::small_test();
+        cfg.injection_rate = 0.12;
+        let mut a = Network::new(cfg);
+        a.run(600);
+        let mut b = a.clone();
+        b.stats.injected_flits += 1_000_003;
+        b.stats.ejected_flits += 7;
+        b.stats.forwarded_flits += u64::from(u32::MAX);
+        b.stats.latency_sum += 12_345;
+        for (i, nic) in b.nics.iter_mut().enumerate() {
+            nic.injected += 3 * i as u64 + 1;
+            nic.ejected += 5 * i as u64 + 2;
+        }
+        assert_ne!(a.stats(), b.stats());
+        assert!(a.state_eq(&b));
+        let sig = |n: &Network| n.progress_signature();
+        let offset = |a: &Network, b: &Network| {
+            let (x, y) = (sig(a), sig(b));
+            (y.0 - x.0, y.1 - x.1, y.2 - x.2)
+        };
+        let offset0 = offset(&a, &b);
+        let mut stalls_a = Stalls {
+            sig: sig(&a),
+            stalled: 0,
+        };
+        let mut stalls_b = Stalls {
+            sig: sig(&b),
+            stalled: 0,
+        };
+        let (mut ev_a, mut ev_b) = (CycleEvents::default(), CycleEvents::default());
+        let (mut moved, mut max_stall) = (0, 0);
+        for k in 0..2_000 {
+            if k == 1_000 {
+                a.set_injection_enabled(false);
+                b.set_injection_enabled(false);
+            }
+            a.step_observed(&mut ev_a);
+            b.step_observed(&mut ev_b);
+            assert!(!ev_a.records.is_empty());
+            assert_eq!(ev_a, ev_b, "cycle {}", a.cycle());
+            moved += ev_a.injected.len() + ev_a.ejected.len();
+            ev_a = CycleEvents::default();
+            ev_b = CycleEvents::default();
+            assert!(a.state_eq(&b), "cycle {}", a.cycle());
+            assert_eq!(offset(&a, &b), offset0, "cycle {}", a.cycle());
+            let stalled = stalls_a.observe(&a);
+            assert_eq!(stalled, stalls_b.observe(&b), "cycle {}", a.cycle());
+            max_stall = max_stall.max(stalled);
+        }
+        assert!(a.is_drained() && b.is_drained(), "the drain must finish");
+        assert!(moved > 1_000, "traffic must flow: {moved} events");
+        assert!(max_stall > 100, "the drained tail must count stalls");
     }
 
     #[test]

@@ -133,14 +133,16 @@ impl Nic {
         self.node
     }
 
-    /// Structural equality, ignoring the RNG.
+    /// Structural equality, ignoring the RNG and the `injected`/`ejected`
+    /// odometers.
     ///
     /// The RNG stream advances unconditionally every cycle (the Bernoulli
     /// draw in [`Nic::generate`] fires regardless of gating, and the
     /// destination draw depends only on the stream itself), so two NICs
     /// that have stepped the same number of cycles from the same seed hold
-    /// identical RNG states by construction — comparing the remaining
-    /// fields decides whether their observable futures coincide.
+    /// identical RNG states by construction. The odometers are only ever
+    /// added to and nothing steps on them. Comparing the remaining fields
+    /// decides whether their observable futures coincide.
     pub fn state_eq(&self, other: &Nic) -> bool {
         self.node == other.node
             && self.class_rr == other.class_rr
@@ -153,8 +155,6 @@ impl Nic {
             && self.eject_next == other.eject_next
             && self.gen_enabled == other.gen_enabled
             && self.blocked_dests == other.blocked_dests
-            && self.injected == other.injected
-            && self.ejected == other.ejected
     }
 
     /// True when this NI holds no pending work at all: nothing queued for

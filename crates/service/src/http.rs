@@ -26,6 +26,10 @@ pub const MAX_HEADER_LINE: usize = 8 << 10;
 /// [`MAX_BODY`] it bounds what one request can make the server buffer.
 pub const MAX_HEAD: usize = 64 << 10;
 
+/// How long the server waits on a silent client while reading its
+/// request before it gives up on the connection.
+pub const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(120);
+
 fn proto_err(detail: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.to_string())
 }
@@ -123,9 +127,11 @@ fn read_head_line<R: BufRead>(
 ///
 /// A [`RequestError`] carrying the status to answer with: `431` for an
 /// oversized header line or head, `413` for an oversized body, `400` for
-/// I/O failures, a malformed request line or `Content-Length`, and
-/// non-UTF-8 text.
+/// I/O failures (a client silent for [`REQUEST_READ_TIMEOUT`] among
+/// them), a malformed request line or `Content-Length`, and non-UTF-8
+/// text.
 pub fn read_request(stream: &TcpStream) -> Result<Request, RequestError> {
+    stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT))?;
     let mut head = BufReader::new(stream.try_clone()?).take(MAX_HEAD as u64);
     let mut line = Vec::new();
     read_head_line(&mut head, &mut line)?;
@@ -173,9 +179,39 @@ pub fn respond(
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
+    write_response(stream, status, reason, content_type, "", body)
+}
+
+/// `503 Service Unavailable` asking the client to retry after a second,
+/// with a plain-text body.
+///
+/// # Errors
+///
+/// Propagates stream write failures.
+pub fn respond_unavailable(stream: &mut TcpStream, detail: &str) -> io::Result<()> {
+    write_response(
+        stream,
+        503,
+        "Service Unavailable",
+        "text/plain",
+        "Retry-After: 1\r\n",
+        detail,
+    )
+}
+
+/// Writes a response head (with `extra_headers`, each line ending in
+/// CRLF) and `body`, and flushes.
+fn write_response(
+    stream: &mut TcpStream,
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    extra_headers: &str,
+    body: &str,
+) -> io::Result<()> {
     let head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
+         Content-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n",
         body.len()
     );
     stream.write_all(head.as_bytes())?;

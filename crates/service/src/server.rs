@@ -19,7 +19,8 @@
 //! resume enabled for jobs recovered after a restart — and relays the
 //! driver's events into the job's feed, which SSE consumers tail. The
 //! pool size bounds *jobs in flight*; each job additionally shards its
-//! own campaign across `spec.threads` rollout workers.
+//! own campaign across `spec.threads` rollout workers. Connections are
+//! served one thread each, at most [`MAX_CONNECTIONS`] at once.
 
 use golden::{GoldenCache, JobDriver};
 use noc_types::{JobEvent, JobSpec, JobState};
@@ -28,7 +29,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
@@ -46,6 +47,20 @@ fn json_of<T: Serialize>(v: &T) -> String {
 fn json_list<T: Serialize>(items: &[T]) -> String {
     let values: Vec<serde::Value> = items.iter().map(|i| i.to_value()).collect();
     json_of(&serde::Value::Array(values))
+}
+
+/// Connection threads that may be live at once. Past this the accept
+/// loop answers `503` itself and closes the connection, so a flood of
+/// idle clients cannot make the daemon spawn without bound.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// One live connection thread, counted in a shared gauge while it exists.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// FIFO of queued job ids, shared between the accept loop and the
@@ -134,7 +149,9 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Starts the worker pool and serves connections forever.
+    /// Starts the worker pool and serves connections forever, each on a
+    /// thread of its own, at most [`MAX_CONNECTIONS`] at once; the
+    /// accept loop sheds the rest with a `503`.
     ///
     /// # Errors
     ///
@@ -150,13 +167,28 @@ impl Server {
                 run_job(&registry, &cache, &id);
             });
         }
+        // Only this loop increments the gauge, so a load below the cap
+        // cannot be overtaken before the increment.
+        let live = Arc::new(AtomicUsize::new(0));
         for stream in self.listener.incoming() {
             match stream {
-                Ok(stream) => {
+                Ok(mut stream) if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS => {
+                    let detail = format!("{MAX_CONNECTIONS} connections already open");
+                    if let Err(e) = http::respond_unavailable(&mut stream, &detail) {
+                        eprintln!("[nocalertd] shed connection: {e}");
+                    }
+                }
+                Ok(mut stream) => {
+                    live.fetch_add(1, Ordering::SeqCst);
+                    let slot = ConnectionSlot(Arc::clone(&live));
                     let registry = Arc::clone(&self.registry);
                     let queue = Arc::clone(&self.queue);
                     thread::spawn(move || {
-                        if let Err(e) = handle_connection(&registry, &queue, stream) {
+                        let served = handle_connection(&registry, &queue, &mut stream);
+                        // Free the slot before the stream closes: a client
+                        // that has seen the close finds the slot free.
+                        drop(slot);
+                        if let Err(e) = served {
                             eprintln!("[nocalertd] connection error: {e}");
                         }
                     });
@@ -219,42 +251,38 @@ fn run_job(registry: &Registry, cache: &Arc<GoldenCache>, id: &str) {
 fn handle_connection(
     registry: &Registry,
     queue: &JobQueue,
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
 ) -> io::Result<()> {
-    let request = match http::read_request(&stream) {
+    let request = match http::read_request(stream) {
         Ok(r) => r,
         Err(e) => {
-            return http::respond_error(&mut stream, e.status, e.reason, &e.detail);
+            return http::respond_error(stream, e.status, e.reason, &e.detail);
         }
     };
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => http::respond(&mut stream, 200, "OK", "text/plain", "ok"),
-        ("POST", ["jobs"]) => submit(registry, queue, &mut stream, &request.body),
-        ("GET", ["jobs"]) => {
-            http::respond_json(&mut stream, 200, "OK", &json_list(&registry.list()))
-        }
-        ("GET", ["jobs", id]) => with_job(registry, &mut stream, id, |stream, handle| {
+        ("GET", ["healthz"]) => http::respond(stream, 200, "OK", "text/plain", "ok"),
+        ("POST", ["jobs"]) => submit(registry, queue, stream, &request.body),
+        ("GET", ["jobs"]) => http::respond_json(stream, 200, "OK", &json_list(&registry.list())),
+        ("GET", ["jobs", id]) => with_job(registry, stream, id, |stream, handle| {
             http::respond_json(stream, 200, "OK", &json_of(&handle.status()))
         }),
-        ("GET", ["jobs", id, "result"]) => with_job(registry, &mut stream, id, |stream, handle| {
+        ("GET", ["jobs", id, "result"]) => with_job(registry, stream, id, |stream, handle| {
             match registry.read_result(&handle.id) {
                 Ok(Some(result)) => http::respond_json(stream, 200, "OK", &json_of(&result)),
                 Ok(None) => http::respond_error(stream, 404, "Not Found", "no result yet"),
                 Err(e) => http::respond_error(stream, 500, "Internal Server Error", &e.to_string()),
             }
         }),
-        ("GET", ["jobs", id, "incidents"]) => {
-            with_job(registry, &mut stream, id, |stream, handle| {
-                let incidents = incidents_of(registry, handle);
-                http::respond_json(stream, 200, "OK", &json_list(&incidents))
-            })
-        }
-        ("GET", ["jobs", id, "events"]) => with_job(registry, &mut stream, id, |stream, handle| {
+        ("GET", ["jobs", id, "incidents"]) => with_job(registry, stream, id, |stream, handle| {
+            let incidents = incidents_of(registry, handle);
+            http::respond_json(stream, 200, "OK", &json_list(&incidents))
+        }),
+        ("GET", ["jobs", id, "events"]) => with_job(registry, stream, id, |stream, handle| {
             stream_feed(registry, stream, handle)
         }),
         ("POST", ["jobs", id, "cancel"]) => {
-            with_job(registry, &mut stream, id, |stream, handle| {
+            with_job(registry, stream, id, |stream, handle| {
                 handle.cancel.store(true, Ordering::Relaxed);
                 // A job still in the queue will observe the terminal
                 // state at dequeue and be skipped; a running job's
@@ -268,7 +296,7 @@ fn handle_connection(
                 http::respond_json(stream, 200, "OK", &json_of(&handle.status()))
             })
         }
-        _ => http::respond_error(&mut stream, 404, "Not Found", "unknown route"),
+        _ => http::respond_error(stream, 404, "Not Found", "unknown route"),
     }
 }
 

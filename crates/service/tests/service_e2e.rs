@@ -1,7 +1,9 @@
 //! End-to-end service tests: submit → stream → `kill -9` → restart →
 //! resume, with the resumed aggregate bit-identical to a direct
 //! engine run of the same spec at a different worker count; plus an
-//! SSE incident-stream snapshot for the canonical one-fault job.
+//! SSE incident-stream snapshot for the canonical one-fault job, and
+//! hostile input (oversized heads, deeply nested bodies, connection
+//! floods) that the daemon refuses and survives.
 //!
 //! The server runs as a real child process (the `nocalertd` binary),
 //! so the kill is a genuine SIGKILL mid-campaign — exactly the failure
@@ -308,6 +310,62 @@ fn oversized_header_is_refused_and_the_daemon_survives() {
         reply.starts_with("HTTP/1.1 431 "),
         "unexpected reply: {reply}"
     );
+    let (status, body) = http::request(&server.addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!((status, body.as_str()), (200, "ok"));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+#[test]
+fn deeply_nested_body_is_refused_and_the_daemon_survives() {
+    let data_dir = temp_dir("nested");
+    let server = Server::start(&data_dir, "only");
+    // Far under `MAX_BODY`, far past the parser's nesting cap.
+    let body = "[".repeat(10_000);
+    let (status, detail) =
+        http::request(&server.addr, "POST", "/jobs", Some(&body)).expect("nested submit");
+    assert_eq!(status, 400, "{detail}");
+    assert!(detail.contains("nesting"), "{detail}");
+    let (status, body) = http::request(&server.addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!((status, body.as_str()), (200, "ok"));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+#[test]
+fn connections_past_the_bound_are_shed_with_503() {
+    use nocalert_service::server::MAX_CONNECTIONS;
+    use std::io::Read;
+    use std::net::{Shutdown, TcpStream};
+    let data_dir = temp_dir("flood");
+    let server = Server::start(&data_dir, "only");
+    let connect = || {
+        let stream = TcpStream::connect(&server.addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        stream
+    };
+    // Idle connections, each holding a connection thread. The accept
+    // loop takes connections in order, so all of them hold a slot by the
+    // time it reaches the next one.
+    let held: Vec<TcpStream> = (0..MAX_CONNECTIONS).map(|_| connect()).collect();
+    let mut reply = String::new();
+    connect().read_to_string(&mut reply).expect("shed reply");
+    assert!(
+        reply.starts_with("HTTP/1.1 503 "),
+        "unexpected reply: {reply}"
+    );
+    assert!(reply.contains("\r\nRetry-After: 1\r\n"), "{reply}");
+    // Each held connection ends its (empty) request; the server frees
+    // the slot before it closes, so once every close is seen the pool
+    // is empty again.
+    for mut stream in held {
+        stream.shutdown(Shutdown::Write).expect("shutdown");
+        let mut rest = String::new();
+        stream.read_to_string(&mut rest).expect("held reply");
+        assert!(rest.starts_with("HTTP/1.1 400 "), "{rest}");
+    }
     let (status, body) = http::request(&server.addr, "GET", "/healthz", None).expect("healthz");
     assert_eq!((status, body.as_str()), (200, "ok"));
     drop(server);
