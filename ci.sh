@@ -44,9 +44,6 @@ cargo run -q --release -p nocalert-bench --bin attack -- --smoke
 step "aging smoke (accumulating faults to an honest partition)"
 cargo run -q --release -p nocalert-bench --bin aging -- --smoke
 
-step "perf smoke (>15% cycles/sec + campaign runs/sec regression gate)"
-cargo run -q --release -p nocalert-bench --bin perf -- --smoke
-
 step "service smoke (nocalertd end-to-end: submit, stream, SIGKILL, resume)"
 cargo build -q --release -p nocalert-service
 NOCALERTD=target/release/nocalertd

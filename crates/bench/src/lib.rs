@@ -40,12 +40,26 @@ impl Args {
         Args { map }
     }
 
-    /// Typed lookup with default.
+    /// Typed lookup with default: `default` when `key` is absent, an
+    /// error naming the key and value when it is present but does not
+    /// parse.
+    fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.map.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{key}: cannot parse {v:?}")),
+        }
+    }
+
+    /// Typed lookup with default, exiting with status 2 when the value
+    /// is present but does not parse, rather than silently running with
+    /// the default.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.map
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(key, default).unwrap_or_else(|e| {
+            eprintln!("[args] {e}");
+            std::process::exit(2);
+        })
     }
 
     /// Boolean flag.
@@ -280,8 +294,13 @@ mod tests {
         let mut a = Args::default();
         a.map.insert("sites".into(), "123".into());
         a.map.insert("full".into(), "true".into());
+        a.map.insert("threads".into(), "two".into());
         assert_eq!(a.get("sites", 0usize), 123);
         assert_eq!(a.get("missing", 7u32), 7);
+        assert_eq!(
+            a.try_get("threads", 4usize),
+            Err(String::from("--threads: cannot parse \"two\""))
+        );
         assert!(a.flag("full"));
         assert!(!a.flag("absent"));
     }

@@ -223,6 +223,7 @@ impl Campaign {
             forever: fv,
             log,
             oracle,
+            work,
         } = arena;
         // Prefix sharing: until the transient fires, the lane is
         // bit-identical to golden — jump to the last checkpoint at or
@@ -240,9 +241,11 @@ impl Campaign {
                 ck.cycle(),
                 &mut (&mut *bank, &mut *fv, &mut *log),
             );
+            work.replayed_cycles += ck.cycle() - inj;
             net.clone_from(ck);
         }
         net.arm_fault(spec.site, spec.kind, spec.start);
+        let stepped_from = net.cycle();
         // Resync ladder: step (observed) to each remaining checkpoint and
         // compare network state.
         let mut converged: Option<Cycle> = None;
@@ -264,6 +267,9 @@ impl Campaign {
             let fault_hits = net.fault_hits();
             let coda_end = traj.end_cycle + 2 * self.cc.forever_epoch + 1;
             self.replay_golden(traj, from, coda_end, &mut (&mut *bank, &mut *fv, &mut *log));
+            work.stepped_cycles += from - stepped_from;
+            work.replayed_cycles += coda_end - from;
+            work.converged += 1;
             let verdict = self.classify_rollout(oracle, log, traj.drained);
             return Some((self.assemble(spec, fault_hits, verdict, bank, fv), None));
         }
@@ -276,9 +282,11 @@ impl Campaign {
             dog.stall_window,
             &mut (&mut *bank, &mut *fv, &mut *log),
         );
+        work.stepped_cycles += net.cycle() - stepped_from;
         if hang.is_none() {
-            self.coda(net, &mut (&mut *bank, &mut *fv, &mut *log));
+            work.stepped_cycles += self.coda(net, &mut (&mut *bank, &mut *fv, &mut *log));
         }
+        work.tail += 1;
         let verdict = self.classify_rollout(oracle, log, drained);
         Some((
             self.assemble(spec, net.fault_hits(), verdict, bank, fv),
@@ -317,10 +325,12 @@ impl Campaign {
         for _ in 0..(2 * self.cc.forever_epoch + 1) {
             arena.net.step_observed(&mut NullObserver);
         }
+        arena.work.stepped_cycles += arena.net.cycle() - self.injection_cycle();
         let hits = arena.net.probe_hits().to_vec();
         arena.net.clear_probes();
         for (lane, &(i, spec)) in group.iter().enumerate() {
             if hits[lane] == 0 {
+                arena.work.vacuous += 1;
                 // Zero would-be flips along the entire golden schedule:
                 // the scalar rollout would be the golden run, hit for
                 // hit and event for event. Its detectors stay silent
@@ -426,7 +436,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::CampaignConfig;
+    use crate::campaign::{CampaignConfig, WorkCounts};
     use noc_types::site::{SignalKind, SiteRef};
     use noc_types::NocConfig;
 
@@ -598,6 +608,78 @@ mod tests {
             }
             assert!(gold.is_drained());
         }
+    }
+
+    /// The work-count gate. The 127 stride-sampled transients of
+    /// [`small_campaign`] run one after another through the `JobDriver`
+    /// path (`run_spec_resilient_in` under the default watchdog, with its
+    /// deterministic retries) and must do exactly this much work: 85
+    /// lanes converge and finish by replay, 42 run the scalar tail, and
+    /// the 6 of those that deadlock run it twice. A lane that stops
+    /// re-converging, or a fast path that is lost, moves these counts on
+    /// any host. Each lane, run alone in a fresh arena, takes one path,
+    /// and a converged lane's stepped plus replayed cycles cover golden's
+    /// horizon exactly.
+    #[test]
+    fn work_counts_are_pinned() {
+        let c = small_campaign();
+        let inj = c.injection_cycle();
+        let horizon = c.trajectory().end_cycle + 2 * c.cc.forever_epoch + 1 - inj;
+        let sites = fault::sample::stride(&fault::enumerate_sites(&c.cc.noc), 128);
+        assert_eq!(sites.len(), 127);
+        let dog = Watchdog::default_policy();
+        let mut shared = c.arena();
+        let mut deadlocks = 0;
+        for site in sites {
+            let spec = FaultSpec::transient(site, inj);
+            let rep = c.run_spec_resilient_in(&mut shared, spec, dog);
+            deadlocks += usize::from(rep.outcome.is_deadlock());
+            let mut fresh = c.arena();
+            c.run_spec_resilient_in(&mut fresh, spec, dog);
+            let w = fresh.work;
+            assert_eq!((w.vacuous, w.scalar), (0, 0), "{spec:?}");
+            if w.converged > 0 {
+                assert_eq!((w.converged, w.tail), (1, 0), "{spec:?}");
+                assert_eq!(w.stepped_cycles + w.replayed_cycles, horizon, "{spec:?}");
+            }
+        }
+        assert_eq!(deadlocks, 6);
+        assert_eq!(
+            shared.work,
+            WorkCounts {
+                stepped_cycles: 70_633,
+                replayed_cycles: 81_682,
+                converged: 85,
+                tail: 48,
+                vacuous: 0,
+                scalar: 0,
+            }
+        );
+    }
+
+    /// A probe batch splits its lanes into vacuous ones, synthesized from
+    /// golden with zero hits, and ones that pay a plain scalar rollout.
+    #[test]
+    fn probe_lanes_count_as_vacuous_or_scalar() {
+        let c = small_campaign();
+        let inj = c.injection_cycle();
+        let group: Vec<(usize, FaultSpec)> =
+            fault::sample::stride(&fault::enumerate_sites(&c.cc.noc), PROBE_LANES)
+                .into_iter()
+                .map(|site| FaultSpec::permanent(site, inj))
+                .enumerate()
+                .collect();
+        let mut arena = c.arena();
+        let mut out = Vec::new();
+        c.run_probe_group(&mut arena, &group, &mut out);
+        let w = arena.work;
+        let vacuous = out.iter().filter(|(_, r)| r.fault_hits == 0).count() as u64;
+        assert!(0 < vacuous && vacuous < group.len() as u64, "{w:?}");
+        assert_eq!(
+            (w.vacuous, w.scalar),
+            (vacuous, group.len() as u64 - vacuous)
+        );
+        assert_eq!((w.converged, w.tail, w.replayed_cycles), (0, 0, 0));
     }
 
     /// Probe demux: more sustained lanes than one 64-lane batch,

@@ -162,7 +162,8 @@ pub struct Campaign {
 /// Rewinding restores every field to the warm snapshot — the log to
 /// empty, the oracle to the folded warm-up — so results are bit-identical
 /// to fresh-cloned runs; the steady-state cost per site is a
-/// memcpy-shaped reset, not thousands of allocations.
+/// memcpy-shaped reset, not thousands of allocations. The arena's work
+/// counts are the one thing rewinding leaves alone.
 #[derive(Debug, Clone)]
 pub struct CampaignArena {
     net: Network,
@@ -170,6 +171,37 @@ pub struct CampaignArena {
     forever: Forever,
     log: RunLog,
     oracle: Classifier,
+    work: WorkCounts,
+}
+
+/// Deterministic counts of the work the campaign engine did in one
+/// [`CampaignArena`], accumulated over every rollout run in it. They are
+/// a pure function of the specs run, so a test can pin them exactly:
+/// a lane that stops re-converging, or a lost fast path, changes them on
+/// any host. Cycle counts are `Network::cycle()` differences taken where
+/// the engine decides, not per-cycle increments; a quiescent coda that
+/// fast-forwards counts as neither stepped nor replayed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WorkCounts {
+    /// Cycles advanced by stepping a network: lanes up to their resync
+    /// rung, scalar tails, plain scalar rollouts and probe passes.
+    pub(crate) stepped_cycles: u64,
+    /// Cycles completed by replaying golden events into a lane's
+    /// observers instead of stepping: skipped prefixes and converged
+    /// suffixes.
+    pub(crate) replayed_cycles: u64,
+    /// Transient lanes that re-converged with golden and finished by
+    /// replay.
+    pub(crate) converged: u64,
+    /// Transient lanes that never re-converged and finished by the
+    /// scalar tail.
+    pub(crate) tail: u64,
+    /// Sustained-fault probe lanes with zero would-be flips, whose result
+    /// was synthesized from golden.
+    pub(crate) vacuous: u64,
+    /// Plain scalar rollouts ([`Campaign::run_spec_in`] and its watched
+    /// form): specs the engine declines and non-vacuous probe lanes.
+    pub(crate) scalar: u64,
 }
 
 impl Campaign {
@@ -274,6 +306,7 @@ impl Campaign {
             forever: self.forever0.clone(),
             log: RunLog::new(),
             oracle: self.oracle0.clone(),
+            work: WorkCounts::default(),
         }
     }
 
@@ -306,6 +339,7 @@ impl Campaign {
             forever: fv,
             log,
             oracle,
+            work,
         } = arena;
         let watched = rollout_watched(
             net,
@@ -315,18 +349,21 @@ impl Campaign {
             dog,
             &mut (&mut *bank, &mut *fv, &mut *log),
         );
+        work.stepped_cycles += net.cycle() - self.injection_cycle();
         // A watchdog-terminated run skips the coda: its budget is spent,
         // and its ForEVeR view is reported as-of termination.
         if watched.hang.is_none() {
-            self.coda(net, &mut (&mut *bank, &mut *fv, &mut *log));
+            work.stepped_cycles += self.coda(net, &mut (&mut *bank, &mut *fv, &mut *log));
         }
+        work.scalar += 1;
         let out = watched.outcome;
         let verdict = self.classify_rollout(oracle, log, out.drained);
         let result = self.assemble(spec, out.fault_hits, verdict, bank, fv);
         (result, watched.hang)
     }
 
-    /// Resets an arena to the warm snapshot state.
+    /// Resets an arena to the warm snapshot state; its [`WorkCounts`]
+    /// keep accumulating.
     fn rewind(&self, arena: &mut CampaignArena) {
         arena.net.clone_from(&self.snapshot);
         arena.bank.clone_from(&self.bank0);
@@ -349,14 +386,17 @@ impl Campaign {
     /// epoch mechanism to conclude). A fully quiescent network with an
     /// inert fault plane and observers that certify the skip is
     /// fast-forwarded in O(1); anything else (sustained faults, stuck
-    /// flits, imbalanced ForEVeR counters) steps cycle by cycle.
-    fn coda<O: noc_sim::Observer>(&self, net: &mut Network, obs: &mut O) {
+    /// flits, imbalanced ForEVeR counters) steps cycle by cycle. Returns
+    /// the cycles stepped: 0 when fast-forwarded.
+    fn coda<O: noc_sim::Observer>(&self, net: &mut Network, obs: &mut O) -> Cycle {
         let n = 2 * self.cc.forever_epoch + 1;
-        if !net.try_fast_forward_quiescent(n, obs) {
-            for _ in 0..n {
-                net.step_observed(obs);
-            }
+        if net.try_fast_forward_quiescent(n, obs) {
+            return 0;
         }
+        for _ in 0..n {
+            net.step_observed(obs);
+        }
+        n
     }
 
     /// Builds the [`RunResult`] from a finished rollout's detector state.

@@ -62,11 +62,23 @@ impl Args {
         }
     }
 
+    /// `default` when `key` is absent; an error naming the key and value
+    /// when it is present but does not parse.
+    fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.map.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{key}: cannot parse {v:?}")),
+        }
+    }
+
+    /// [`Args::try_get`], exiting with status 2 on a malformed value.
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.map
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(key, default).unwrap_or_else(|e| {
+            eprintln!("[args] {e}");
+            std::process::exit(2);
+        })
     }
 }
 
@@ -244,4 +256,31 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_values_are_errors_not_defaults() {
+        let mut map = HashMap::new();
+        map.insert("workers".to_string(), "2x".to_string());
+        map.insert("timeout-secs".to_string(), "5m".to_string());
+        map.insert("addr".to_string(), "127.0.0.1:9".to_string());
+        let args = Args {
+            verb: String::from("serve"),
+            map,
+        };
+        assert_eq!(
+            args.try_get("workers", 2usize),
+            Err(String::from("--workers: cannot parse \"2x\""))
+        );
+        assert_eq!(
+            args.try_get("timeout-secs", 600u64),
+            Err(String::from("--timeout-secs: cannot parse \"5m\""))
+        );
+        assert_eq!(args.try_get("absent", 7u32), Ok(7));
+        assert_eq!(args.get("addr", String::new()), "127.0.0.1:9");
+    }
 }
