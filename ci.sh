@@ -96,6 +96,9 @@ trap - EXIT
 step "benchmark self-test (committed JobDriver digests, every workload)"
 python3 perfbench/selftest.py
 
+step "paper-scale differential (8x8 batched vs scalar, release)"
+cargo test -q --release -p nocalert-golden --lib -- --ignored paper_scale
+
 step "cargo test"
 cargo test -q --workspace
 

@@ -23,18 +23,22 @@
 //! * **Resync ladder + observer replay** — after the fault fires, the
 //!   lane steps (observers attached, so every divergent cycle is really
 //!   observed) and compares against golden checkpoints with
-//!   [`Network::state_eq`]. Once the *network* state matches — detector
-//!   state and the `NetStats`/NIC odometers may differ; detections and
-//!   odometer readings are history, not dynamics — the rest of the run
-//!   is a pure function of the golden trajectory: the remaining
+//!   [`Network::state_eq`]. Once the network state matches in what an
+//!   inert-plane future reads — detector state, the odometers, and the
+//!   state no such future reads (VC ring offsets and stale slots,
+//!   latches below their reading state, result buses, link-data
+//!   registers, output owners) may differ; detections and odometer
+//!   readings are history, not dynamics — the rest of the run is a pure
+//!   function of the golden trajectory: the remaining
 //!   cycles are completed without stepping by replaying the cached golden
 //!   eject/inject streams (plus one empty cycle record per cycle, which
 //!   drives the ForEVeR epoch clock) through the lane's own observers.
-//!   This is exact, not approximate: with an inert fault plane and the
-//!   NIC RNG a pure function of the cycle count, equal network states
-//!   produce equal futures, and golden's records provably raise nothing
-//!   (the trajectory build verifies this and disables the engine
-//!   otherwise).
+//!   This is exact, not approximate: with inert fault planes and the
+//!   NIC RNG a pure function of the cycle count, `state_eq` networks
+//!   emit the same injections and ejections and cycle records that
+//!   differ only in wires no observer reads (the induction is on
+//!   `state_eq`), and golden's records provably raise nothing (the
+//!   trajectory build verifies this and disables the engine otherwise).
 //!
 //! * **Probe batching** — sustained faults (permanent / stuck-at /
 //!   intermittent) never go inert, so resync does not apply. Instead, up
@@ -139,9 +143,9 @@ impl Campaign {
             net.step_observed(&mut (&mut bank, &mut fv, &mut log));
         }
         let clean_verdict = self.classify_rollout(&mut self.oracle0.clone(), &log, drained);
-        // `state_eq(self)` is false exactly when recovery is enabled —
-        // the same condition under which lane convergence could never be
-        // certified.
+        // `state_eq(self)` is false exactly when recovery is enabled (the
+        // snapshot arms no fault) — the same condition under which lane
+        // convergence could never be certified.
         let usable = drained
             && !bank.any_asserted()
             && !fv.any_detected()
@@ -441,8 +445,15 @@ mod tests {
     use noc_types::NocConfig;
 
     fn small_campaign() -> Campaign {
+        small_campaign_with(|_| {})
+    }
+
+    /// [`small_campaign`] with `tweak` applied to its network
+    /// configuration.
+    fn small_campaign_with(tweak: impl FnOnce(&mut NocConfig)) -> Campaign {
         let mut noc = NocConfig::small_test();
         noc.injection_rate = 0.08;
+        tweak(&mut noc);
         Campaign::new(CampaignConfig {
             noc,
             warmup: 300,
@@ -469,12 +480,15 @@ mod tests {
         None
     }
 
+    /// A fault site as `(router, port, vc, signal, bit)`.
+    type Site = (u16, u8, u8, SignalKind, u8);
+
     /// Transients of [`small_campaign`], injected at the snapshot cycle,
     /// whose lanes re-converge to golden in everything but the
     /// `NetStats` odometers: a later delivery (`latency_sum`), extra or
     /// fewer hops (`forwarded_flits`), a lost or repeated delivery
     /// (`ejected_flits`); at rungs from 4 to the active end.
-    const ODOMETER_ONLY: [(u16, u8, u8, SignalKind, u8); 6] = [
+    const ODOMETER_ONLY: [Site; 6] = [
         (0, 1, 0, SignalKind::Va1Req, 2),
         (0, 4, 0, SignalKind::VcEvRcDone, 0),
         (6, 4, 0, SignalKind::Sa2Req, 3),
@@ -483,28 +497,43 @@ mod tests {
         (13, 4, 0, SignalKind::XbarCol, 2),
     ];
 
+    /// Transients of [`small_campaign`], injected at the snapshot cycle,
+    /// whose lanes re-converge (at the given rung, counted from the
+    /// injection) to a golden state that differs from theirs only in
+    /// what `state_eq` leaves out: a rotated VC ring (`BufWrite`,
+    /// `Sa1Req`), the latched `out_port` of an idle VC (`VcOutPort`), or
+    /// a stale slot (`VcEvRcDone`, `VcStateCode`).
+    const PROJECTION_ONLY: [(Site, Cycle); 6] = [
+        ((0, 0, 0, SignalKind::BufWrite, 0), 128),
+        ((1, 3, 0, SignalKind::Sa1Req, 2), 256),
+        ((0, 0, 0, SignalKind::VcOutPort, 1), 1),
+        ((0, 0, 1, SignalKind::VcOutPort, 0), 1),
+        ((0, 4, 0, SignalKind::VcEvRcDone, 0), 256),
+        ((0, 1, 2, SignalKind::VcStateCode, 0), 256),
+    ];
+
+    /// A site tuple as a transient at the snapshot cycle.
+    fn transient_at_snapshot(c: &Campaign, (router, port, vc, signal, bit): Site) -> FaultSpec {
+        let site = SiteRef {
+            router,
+            port,
+            vc,
+            signal,
+            bit,
+        };
+        FaultSpec::transient(site, c.injection_cycle())
+    }
+
     /// [`ODOMETER_ONLY`] as transients at the snapshot cycle.
     fn odometer_only_specs(c: &Campaign) -> impl Iterator<Item = FaultSpec> + '_ {
-        ODOMETER_ONLY
-            .iter()
-            .map(|&(router, port, vc, signal, bit)| {
-                let site = SiteRef {
-                    router,
-                    port,
-                    vc,
-                    signal,
-                    bit,
-                };
-                FaultSpec::transient(site, c.injection_cycle())
-            })
+        ODOMETER_ONLY.iter().map(|&t| transient_at_snapshot(c, t))
     }
 
     /// The differential sweep pinning the engine: every fault class at
     /// rotating injection offsets over stride-sampled sites, batched vs
     /// scalar, byte-identical `RunResult`s.
-    #[test]
-    fn differential_sweep_matches_scalar_across_fault_classes() {
-        let c = small_campaign();
+    fn assert_differential_sweep(c: &Campaign) {
+        assert!(c.trajectory().usable, "the engine must be exercised");
         let inj = c.injection_cycle();
         let sites = fault::sample::stride(&fault::enumerate_sites(&c.cc.noc), 8);
         let kinds = [
@@ -535,6 +564,28 @@ mod tests {
         }
     }
 
+    #[test]
+    fn differential_sweep_matches_scalar_across_fault_classes() {
+        assert_differential_sweep(&small_campaign());
+    }
+
+    /// The same differential with speculative switch allocation, where
+    /// SA bids of `VA_PENDING` VCs load the `out_vc` latch that
+    /// `state_eq` compares only in `ACTIVE`.
+    #[test]
+    fn differential_sweep_matches_scalar_speculative() {
+        assert_differential_sweep(&small_campaign_with(|noc| noc.speculative = true));
+    }
+
+    /// The same differential with non-atomic VC buffers, where a VC
+    /// holds the next packet's header behind a draining tail.
+    #[test]
+    fn differential_sweep_matches_scalar_non_atomic() {
+        assert_differential_sweep(&small_campaign_with(|noc| {
+            noc.buffer_policy = noc_types::config::BufferPolicy::NonAtomic;
+        }));
+    }
+
     /// Beyond the `RunResult`: a batched transient leaves the *entire*
     /// detector state — assertion-event streams, counts, ForEVeR
     /// bookkeeping, run log — identical to the scalar rollout's.
@@ -561,9 +612,30 @@ mod tests {
             );
             specs.push(spec);
         }
+        for (site, rung) in PROJECTION_ONLY {
+            let spec = transient_at_snapshot(&c, site);
+            let Some((lane, ck)) = resync(&c, spec) else {
+                panic!("{spec:?} must re-converge");
+            };
+            assert_eq!(ck.cycle() - inj, rung, "{spec:?}");
+            let routers = c.cc.noc.mesh.len() as u16;
+            assert!(
+                (0..routers).any(|r| lane.router(r) != ck.router(r)),
+                "{spec:?} must differ from golden in a dropped field"
+            );
+            specs.push(spec);
+        }
+        assert_batched_matches_scalar(&c, &specs);
+    }
+
+    /// Runs each transient of `specs` scalar and through the batched
+    /// engine, and requires identical `RunResult`s and identical
+    /// detector state: assertion-event streams, counts, ForEVeR
+    /// bookkeeping and run log.
+    fn assert_batched_matches_scalar(c: &Campaign, specs: &[FaultSpec]) {
         let mut scalar = c.arena();
         let mut batched = c.arena();
-        for spec in specs {
+        for &spec in specs {
             let (want, want_hang) = c.run_spec_watched_in(&mut scalar, spec, Watchdog::OFF);
             let Some((got, got_hang)) =
                 c.run_transient_batched_in(&mut batched, spec, Watchdog::OFF)
@@ -577,6 +649,34 @@ mod tests {
             assert!(batched.forever.state_eq(&scalar.forever), "{spec:?}");
             assert_eq!(batched.log, scalar.log, "{spec:?}");
         }
+    }
+
+    /// The batched-vs-scalar differential at paper scale: the 8×8
+    /// baseline (4 VCs, 2 classes) with paper campaign defaults after a
+    /// short warm-up, 16 stride-sampled transients at spread offsets.
+    /// Too slow for the unoptimized tier-1 build; `ci.sh` runs it in
+    /// release mode:
+    /// `cargo test --release -p nocalert-golden --lib -- --ignored paper_scale`.
+    #[test]
+    #[ignore = "paper scale: run in release mode (see ci.sh)"]
+    fn paper_scale_batched_matches_scalar() {
+        let c = Campaign::new(CampaignConfig::paper_defaults(
+            NocConfig::paper_baseline(),
+            3_000,
+        ));
+        assert!(c.trajectory().usable);
+        let inj = c.injection_cycle();
+        let all = fault::enumerate_sites(&c.cc.noc);
+        let sites = fault::sample::stride(&all, 16);
+        assert_eq!(sites.len(), 16);
+        let specs: Vec<FaultSpec> = sites
+            .iter()
+            .enumerate()
+            .map(|(i, &site)| {
+                FaultSpec::transient(site, inj + (i as Cycle * 131) % c.cc.active_window)
+            })
+            .collect();
+        assert_batched_matches_scalar(&c, &specs);
     }
 
     /// An odometer-only lane's signature differs from golden's by a
@@ -613,8 +713,8 @@ mod tests {
     /// The work-count gate. The 127 stride-sampled transients of
     /// [`small_campaign`] run one after another through the `JobDriver`
     /// path (`run_spec_resilient_in` under the default watchdog, with its
-    /// deterministic retries) and must do exactly this much work: 85
-    /// lanes converge and finish by replay, 42 run the scalar tail, and
+    /// deterministic retries) and must do exactly this much work: 103
+    /// lanes converge and finish by replay, 24 run the scalar tail, and
     /// the 6 of those that deadlock run it twice. A lane that stops
     /// re-converging, or a fast path that is lost, moves these counts on
     /// any host. Each lane, run alone in a fresh arena, takes one path,
@@ -647,10 +747,10 @@ mod tests {
         assert_eq!(
             shared.work,
             WorkCounts {
-                stepped_cycles: 70_633,
-                replayed_cycles: 81_682,
-                converged: 85,
-                tail: 48,
+                stepped_cycles: 50_953,
+                replayed_cycles: 101_362,
+                converged: 103,
+                tail: 30,
                 vacuous: 0,
                 scalar: 0,
             }

@@ -81,40 +81,40 @@ where
 }
 
 /// Reads one JSONL file (a missing file reads as empty) and returns its
-/// text plus the length of its complete, newline-terminated prefix;
-/// anything after it is a torn trailing line from a mid-write kill.
-fn read_complete(path: &Path) -> Result<(String, usize), CampaignError> {
-    let mut text = String::new();
+/// bytes plus the length of its complete, newline-terminated prefix;
+/// anything after it is a torn trailing line from a mid-write kill. The
+/// file is read as bytes, not text: rows carry raw UTF-8, so a kill can
+/// tear a multi-byte character, and only the complete prefix must decode.
+fn read_complete(path: &Path) -> Result<(Vec<u8>, usize), CampaignError> {
+    let mut bytes = Vec::new();
     if path.exists() {
         File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
+            .and_then(|mut f| f.read_to_end(&mut bytes))
             .map_err(|e| io_err(path, e))?;
     }
-    let complete_len = text.rfind('\n').map_or(0, |i| i + 1);
-    Ok((text, complete_len))
+    let complete_len = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    Ok((bytes, complete_len))
 }
 
 /// Parses every complete row of one JSONL file, in line order. Returns
 /// the rows plus a flag for a torn trailing line, which is skipped
-/// rather than parsed.
+/// rather than parsed. A complete line that is not UTF-8 is corrupt like
+/// one that does not parse.
 fn load_file<T: Deserialize>(path: &Path) -> Result<(Vec<T>, bool), CampaignError> {
-    let (text, complete_len) = read_complete(path)?;
-    let torn = complete_len < text.len();
+    let (bytes, complete_len) = read_complete(path)?;
+    let torn = complete_len < bytes.len();
     let mut rows = Vec::new();
-    for (idx, line) in text[..complete_len].lines().enumerate() {
+    for (idx, raw) in bytes[..complete_len].split(|&b| b == b'\n').enumerate() {
+        let corrupt = |detail: String| CampaignError::ShardCorrupt {
+            path: path.to_path_buf(),
+            line: idx + 1,
+            detail,
+        };
+        let line = std::str::from_utf8(raw).map_err(|e| corrupt(e.to_string()))?;
         if line.trim().is_empty() {
             continue;
         }
-        match serde_json::from_str::<T>(line) {
-            Ok(r) => rows.push(r),
-            Err(e) => {
-                return Err(CampaignError::ShardCorrupt {
-                    path: path.to_path_buf(),
-                    line: idx + 1,
-                    detail: e.to_string(),
-                })
-            }
-        }
+        rows.push(serde_json::from_str::<T>(line).map_err(|e| corrupt(e.to_string()))?);
     }
     Ok((rows, torn))
 }
@@ -230,8 +230,8 @@ impl Appender {
     /// a complete-but-unparseable line that a later load rightly refuses
     /// as mid-file corruption.
     fn open(path: PathBuf) -> Result<Appender, CampaignError> {
-        let (text, complete_len) = read_complete(&path)?;
-        if complete_len < text.len() {
+        let (bytes, complete_len) = read_complete(&path)?;
+        if complete_len < bytes.len() {
             OpenOptions::new()
                 .write(true)
                 .open(&path)
@@ -346,6 +346,52 @@ mod tests {
         let (rows, torn) = j.load(true).unwrap();
         assert_eq!(rows, vec![row(1), row(3)]);
         assert_eq!(torn, 0, "the repaired shard is pristine");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A kill inside a multi-byte character leaves a torn tail that is
+    /// not UTF-8; it is skipped and repaired like any torn tail, so the
+    /// job can resume.
+    #[test]
+    fn torn_multibyte_tail_is_skipped_and_repaired() {
+        let dir = tmpdir("torn-utf8");
+        let j = TestJournal::open(&dir, &Cfg { knob: 1 }).unwrap();
+        let accented = Row {
+            id: 1,
+            tag: "déjà vu".to_string(),
+        };
+        j.writer(0).unwrap().append(&accented).unwrap();
+        let shard = dir.join("shard-w0.jsonl");
+        append_raw(&shard, b"{\"id\":2,\"tag\":\"\xC3");
+        let (rows, torn) = j.load(true).unwrap();
+        assert_eq!(rows, vec![accented.clone()]);
+        assert_eq!(torn, 1);
+        j.writer(0).unwrap().append(&row(3)).unwrap();
+        let (rows, torn) = j.load(true).unwrap();
+        assert_eq!(rows, vec![accented, row(3)]);
+        assert_eq!(torn, 0, "the repaired shard is pristine");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Invalid UTF-8 inside a complete line is damage, not a kill
+    /// signature: refused with its line number.
+    #[test]
+    fn invalid_utf8_in_a_complete_line_is_corrupt() {
+        let dir = tmpdir("bad-utf8");
+        let j = TestJournal::open(&dir, &Cfg { knob: 1 }).unwrap();
+        j.writer(0).unwrap().append(&row(1)).unwrap();
+        let shard = dir.join("shard-w0.jsonl");
+        append_raw(
+            &shard,
+            b"{\"id\":2,\"tag\":\"\xC3\"}\n{\"id\":3,\"tag\":\"c\"}\n",
+        );
+        match j.load(true).unwrap_err() {
+            CampaignError::ShardCorrupt { path, line, .. } => {
+                assert_eq!(path, shard);
+                assert_eq!(line, 2);
+            }
+            other => panic!("expected ShardCorrupt, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -92,6 +92,19 @@ impl VcBuffer {
         (0..self.len).filter_map(move |i| self.slots[(self.head + i) % self.slots.len()].as_ref())
     }
 
+    /// Resync equality (see `Network::state_eq`): capacity, occupancy and
+    /// the live flits in FIFO order. The ring offset and the stale slots
+    /// drop out. Push, pop, `peek`, `len` and the full/empty wires see
+    /// only the live sequence; the stale slots are read only by
+    /// [`read_stale`](VcBuffer::read_stale) and by
+    /// [`head_kind_wire`](VcBuffer::head_kind_wire) of an empty buffer,
+    /// and an inert-plane step of a golden-reachable network does the
+    /// first never and exposes the second only on record wires no
+    /// observer reads.
+    pub(crate) fn state_eq(&self, other: &VcBuffer) -> bool {
+        self.capacity() == other.capacity() && self.len == other.len && self.iter().eq(other.iter())
+    }
+
     /// Appends a flit.
     ///
     /// When the buffer is already full — which only happens under a fault,
@@ -164,6 +177,21 @@ impl VcBuffer {
         self.peek()
             .map(|f| f.kind)
             .unwrap_or_else(|| self.read_stale().kind)
+    }
+}
+
+#[cfg(test)]
+impl VcBuffer {
+    /// Rotates the ring `k` slots forward (live flits keep their FIFO
+    /// order) and overwrites every slot outside the live run with
+    /// `stale`: a buffer `state_eq` to the original.
+    pub(crate) fn scribble_dead(&mut self, k: usize, stale: Option<Flit>) {
+        let cap = self.slots.len();
+        self.slots.rotate_right(k % cap);
+        self.head = (self.head + k) % cap;
+        for i in self.len..cap {
+            self.slots[(self.head + i) % cap] = stale;
+        }
     }
 }
 
@@ -264,6 +292,25 @@ mod tests {
         b.pop();
         // Empty: the head pointer wrapped back onto the stale header slot.
         assert_eq!(b.head_kind_wire(), FlitKind::Head);
+    }
+
+    #[test]
+    fn scribbled_dead_slots_keep_the_live_run() {
+        let mut b = VcBuffer::new(4);
+        let fs = flits(5);
+        for f in &fs[..3] {
+            b.push(*f);
+        }
+        b.pop();
+        let before: Vec<Flit> = b.iter().copied().collect();
+        let mut c = b.clone();
+        c.scribble_dead(3, Some(fs[4]));
+        assert_ne!(b, c, "the ring itself moved");
+        assert!(b.state_eq(&c));
+        assert_eq!(c.iter().copied().collect::<Vec<_>>(), before);
+        assert_eq!(c.slots[(c.head + 2) % 4].map(|f| f.uid), Some(fs[4].uid));
+        c.push(fs[3]);
+        assert!(!b.state_eq(&c), "a live flit more");
     }
 
     #[test]

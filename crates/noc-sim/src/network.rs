@@ -582,28 +582,57 @@ impl Network {
             && self.nics.iter().all(|n| n.eject_backlog() == 0)
     }
 
-    /// Structural equality of the stepped machine state: two networks for
-    /// which this holds produce bit-identical futures under identical
-    /// stepping and (inert or equal) fault planes.
+    /// Resync equality: two networks for which this holds produce the
+    /// same events and the same future (up to what this leaves out) when
+    /// stepped identically, provided both fault planes are inert, which
+    /// it checks.
     ///
-    /// The rule: a field is compared iff [`Network::step_observed`] or a
-    /// cycle record reads it. Compared: cycle, routers (stale VC-slot
-    /// contents included — the cycle record's head-kind wires expose
-    /// them), NICs (see [`Nic::state_eq`]), packet/uid counters, injection
-    /// gate and the fault-region map. Excluded: the [`NetStats`]
-    /// odometers, which stepping only ever adds to (so two networks that
-    /// differ only there keep the same difference forever, and
-    /// [`Network::progress_signature`] changes on exactly the same
-    /// cycles), the fault plane and reused scratch buffers. Networks with
-    /// recovery or an attacker are never equal (that state is not
-    /// comparable, and callers that rely on this equality fall back to
-    /// plain stepping there).
+    /// The rule: a field is compared unless an inert-plane step of a
+    /// golden-reachable network provably never reads it and no observer
+    /// reads its visible copy on a cycle record. The induction:
+    ///
+    /// 1. Fault-free (golden) states satisfy the consistency invariants:
+    ///    a `ROUTING` VC has a head flit at its FIFO head, and a latched
+    ///    SA read points at a non-empty VC. Both are predicates on
+    ///    compared state, so a lane equal to a golden state satisfies
+    ///    them too. And under an inert plane every wire carries its
+    ///    fault-free value: an RC or VA event comes with its result, an
+    ///    SA1 grant goes to a requesting VC, a VA2 grant has its
+    ///    candidate, and a write-enable has its arrival.
+    /// 2. Under an inert plane, stepping a consistent state reads none of
+    ///    the dropped fields: a VC buffer's ring offset and stale slots
+    ///    (only `read_stale` of an empty FIFO reads them), the latched
+    ///    `out_port` below `VA_PENDING` and `out_vc` below `ACTIVE` (see
+    ///    `VirtualChannel::state_eq` for speculative bids), the result buses
+    ///    and link-data registers of each router, and the output ports'
+    ///    `owner` (containment only). So both networks step to equal
+    ///    compared state and emit the same injections and ejections.
+    /// 3. The cycle records may still differ in the visible copies of
+    ///    dropped fields: a [`VcEvent`](noc_types::record::VcEvent)'s
+    ///    `head_kind` of an empty VC, and its `out_port`/`out_vc` below
+    ///    their reading states. No observer reads them: the alert bank
+    ///    reads `out_port` only at `state_after >= 2`, `out_vc` only at
+    ///    `state_after == 3` and `head_kind` only for a non-empty VC;
+    ///    ForEVeR and the campaign run log read none of them.
+    ///
+    /// Also left out: the odometers — [`NetStats`], each NIC's
+    /// `injected`/`ejected` (see [`Nic::state_eq`]) and each router's
+    /// `region_reroutes` — which stepping only ever adds to, so two
+    /// networks that differ only there keep the same difference forever
+    /// and [`Network::progress_signature`] changes on exactly the same
+    /// cycles; the fault plane itself; and reused scratch buffers.
+    /// Networks with recovery or an attacker are never equal (that state
+    /// is not comparable, and callers that rely on this equality fall
+    /// back to plain stepping there). The derived `PartialEq`s of
+    /// [`Router`] and its parts stay exact.
     pub fn state_eq(&self, other: &Network) -> bool {
         self.cycle == other.cycle
             && self.recovery.is_none()
             && other.recovery.is_none()
             && self.attacker.is_none()
             && other.attacker.is_none()
+            && self.plane.inert_from(self.cycle)
+            && other.plane.inert_from(other.cycle)
             && self.next_packet == other.next_packet
             && self.next_uid == other.next_uid
             && self.injection_enabled == other.injection_enabled
@@ -615,7 +644,12 @@ impl Network {
                 .iter()
                 .zip(other.nics.iter())
                 .all(|(a, b)| a.state_eq(b))
-            && self.routers == other.routers
+            && self.routers.len() == other.routers.len()
+            && self
+                .routers
+                .iter()
+                .zip(other.routers.iter())
+                .all(|(a, b)| a.state_eq(b))
     }
 
     /// Attempts to skip `n` cycles in O(1) because nothing can happen in
@@ -1168,6 +1202,7 @@ pub use crate::router::LinkFlit as NetworkLinkFlit;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_types::config::BufferPolicy;
     use noc_types::record::EjectEvent;
     use std::collections::HashMap;
 
@@ -1378,6 +1413,81 @@ mod tests {
         assert!(a.is_drained() && b.is_drained(), "the drain must finish");
         assert!(moved > 1_000, "traffic must flow: {moved} events");
         assert!(max_stall > 100, "the drained tail must count stalls");
+    }
+
+    /// A cycle record with the visible copies of the fields `state_eq`
+    /// leaves out zeroed, where no observer reads them: `head_kind` of
+    /// an empty VC, `out_port` below `VA_PENDING`, `out_vc` below
+    /// `ACTIVE`.
+    fn mask_unread(rec: &CycleRecord) -> CycleRecord {
+        let mut rec = rec.clone();
+        for e in &mut rec.vc {
+            if e.empty {
+                e.head_kind = 0;
+            }
+            if e.state_after < crate::vc::state::VA_PENDING {
+                e.out_port = 0;
+            }
+            if e.state_after != crate::vc::state::ACTIVE {
+                e.out_vc = 0;
+            }
+        }
+        rec
+    }
+
+    /// The bisimulation behind `state_eq`: a network whose unread state
+    /// (ring offsets, stale slots, latches below their reading state,
+    /// result buses, link-data registers, output owners, the reroute
+    /// odometer) is scribbled afresh every cycle stays `state_eq` to the
+    /// untouched one and emits the same injections, ejections and, once
+    /// the unread record wires are masked, cycle records — through
+    /// traffic and a drain, for each configuration bit the argument
+    /// branches on.
+    #[test]
+    fn unobserved_state_changes_no_future() {
+        for (speculative, policy) in [
+            (false, BufferPolicy::Atomic),
+            (true, BufferPolicy::Atomic),
+            (false, BufferPolicy::NonAtomic),
+        ] {
+            let mut cfg = NocConfig::small_test();
+            cfg.injection_rate = 0.12;
+            cfg.speculative = speculative;
+            cfg.buffer_policy = policy;
+            let mut a = Network::new(cfg);
+            a.run(600);
+            let mut b = a.clone();
+            let (mut ev_a, mut ev_b) = (CycleEvents::default(), CycleEvents::default());
+            let (mut moved, mut masked) = (0, 0);
+            for k in 0..2_000u64 {
+                if k == 1_000 {
+                    a.set_injection_enabled(false);
+                    b.set_injection_enabled(false);
+                }
+                for r in &mut b.routers {
+                    r.scribble_unobserved(k * 64 + u64::from(r.id()));
+                }
+                assert!(a.routers != b.routers, "cycle {}", a.cycle());
+                assert!(a.state_eq(&b), "cycle {}", a.cycle());
+                a.step_observed(&mut ev_a);
+                b.step_observed(&mut ev_b);
+                assert_eq!(ev_a.injected, ev_b.injected, "cycle {}", a.cycle());
+                assert_eq!(ev_a.ejected, ev_b.ejected, "cycle {}", a.cycle());
+                assert_eq!(ev_a.records.len(), ev_b.records.len());
+                for ((ca, ra), (cb, rb)) in ev_a.records.iter().zip(&ev_b.records) {
+                    assert_eq!(ca, cb);
+                    assert_eq!(mask_unread(ra), mask_unread(rb), "cycle {ca}");
+                    masked += usize::from(ra != rb);
+                }
+                assert!(a.state_eq(&b), "cycle {}", a.cycle());
+                moved += ev_a.injected.len() + ev_a.ejected.len();
+                ev_a = CycleEvents::default();
+                ev_b = CycleEvents::default();
+            }
+            assert!(a.is_drained() && b.is_drained(), "the drain must finish");
+            assert!(moved > 1_000, "traffic must flow: {moved} events");
+            assert!(masked > 0, "some record must differ in an unread wire");
+        }
     }
 
     #[test]

@@ -289,6 +289,73 @@ impl Router {
         &self.live
     }
 
+    /// Resync equality (see `Network::state_eq`). Per VC and output port
+    /// see [`VirtualChannel::state_eq`] and [`OutputPort::state_eq`].
+    /// Dropped here: the result buses `rc_bus`/`va_bus`/`va2_bus` and the
+    /// link-data registers `last_arrival`, read only when a fault raises
+    /// an RC/VA event without a result, a VA2 grant without a candidate
+    /// or a write-enable without an arrival; and the `region_reroutes`
+    /// odometer.
+    pub(crate) fn state_eq(&self, other: &Router) -> bool {
+        let Router {
+            id,
+            coord,
+            live,
+            avoid,
+            inputs,
+            outputs,
+            rc_rr,
+            va1,
+            sa1,
+            va2,
+            sa2,
+            st_read,
+            st_grant,
+            rc_bus: _,
+            va_bus: _,
+            va2_bus: _,
+            incoming,
+            incoming_credits,
+            out_flits,
+            out_credits,
+            last_arrival: _,
+            input_disabled,
+            region_next_up,
+            region_next_down,
+            region_down_in,
+            region_reroutes: _,
+        } = self;
+        *id == other.id
+            && *coord == other.coord
+            && *live == other.live
+            && *avoid == other.avoid
+            && *st_read == other.st_read
+            && *st_grant == other.st_grant
+            && *input_disabled == other.input_disabled
+            && *region_down_in == other.region_down_in
+            && *incoming == other.incoming
+            && *incoming_credits == other.incoming_credits
+            && *out_flits == other.out_flits
+            && *out_credits == other.out_credits
+            && *rc_rr == other.rc_rr
+            && *va1 == other.va1
+            && *sa1 == other.sa1
+            && *va2 == other.va2
+            && *sa2 == other.sa2
+            && *region_next_up == other.region_next_up
+            && *region_next_down == other.region_next_down
+            && outputs.len() == other.outputs.len()
+            && outputs
+                .iter()
+                .zip(&other.outputs)
+                .all(|(a, b)| a.state_eq(b))
+            && inputs.len() == other.inputs.len()
+            && inputs
+                .iter()
+                .zip(&other.inputs)
+                .all(|(a, b)| a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.state_eq(y)))
+    }
+
     /// Immutable view of an input VC (diagnostics and tests).
     pub fn input_vc(&self, port: u8, vc: u8) -> &VirtualChannel {
         &self.inputs[port as usize][vc as usize]
@@ -1395,6 +1462,59 @@ impl Router {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl Router {
+    /// Perturbs every field [`Router::state_eq`] leaves out, keyed by
+    /// `salt`: rotates each VC ring and overwrites its stale slots,
+    /// scribbles each latch below its reading state, the result buses,
+    /// the link-data registers, the output-port owners and the reroute
+    /// odometer. The result is `state_eq` to the original.
+    pub(crate) fn scribble_unobserved(&mut self, salt: u64) {
+        let junk = noc_types::flit::make_packet(
+            noc_types::PacketId(salt),
+            salt.wrapping_mul(7919),
+            noc_types::geometry::NodeId((salt % 13) as u16),
+            noc_types::geometry::NodeId((salt % 11) as u16),
+            (salt % 2) as u8,
+            3,
+            salt,
+        );
+        let mut n = salt as usize;
+        let mut next = || {
+            n = n
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            n >> 33
+        };
+        for p in 0..P {
+            for vc in &mut self.inputs[p] {
+                let stale = match next() % 4 {
+                    0 => None,
+                    k => Some(junk[k - 1]),
+                };
+                vc.buffer.scribble_dead(next(), stale);
+                if vc.state < state::VA_PENDING {
+                    vc.out_port = (next() % 8) as u64;
+                }
+                if vc.state != state::ACTIVE {
+                    vc.out_vc = (next() % 16) as u64;
+                }
+            }
+            self.rc_bus[p] = (next() % 8) as u64;
+            self.va_bus[p] = (next() % 16) as u64;
+            self.va2_bus[p] = (next() % 16) as u64;
+            self.last_arrival[p] = (next() % 3 != 0).then(|| LinkFlit {
+                flit: junk[next() % 3],
+                vc: (next() % 4) as u8,
+            });
+            for owner in &mut self.outputs[p].owner {
+                *owner = (next() % 2 == 0).then(|| ((next() % 5) as u8, (next() % 4) as u8));
+            }
+        }
+        self.region_reroutes += salt + 1;
     }
 }
 

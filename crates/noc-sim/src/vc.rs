@@ -77,6 +77,36 @@ impl VirtualChannel {
         }
     }
 
+    /// Resync equality (see `Network::state_eq`): the buffer's live
+    /// flits, the state, the write-side bookkeeping, and each latch only
+    /// in the states that read it: `out_port` from `VA_PENDING` on (VA1
+    /// candidates, SA targets), `out_vc` only in `ACTIVE` (SA credit
+    /// check, crossbar, speculative squash). Below those states RC and VA
+    /// rewrite the latch before anything reads it. A speculative SA bid
+    /// of a `VA_PENDING` VC loads `out_vc` too, but every use of it there
+    /// gives way to the speculation: the bid's credit check and SA2
+    /// credit wire are taken as satisfied, and the switch traversal is
+    /// squashed unless the VC is `ACTIVE` by then, with `out_vc`
+    /// rewritten by VA. RC does not rewrite `out_vc`, so comparing it in
+    /// speculative `VA_PENDING` would also keep apart states that
+    /// differed in a dead latch before RC.
+    pub(crate) fn state_eq(&self, other: &VirtualChannel) -> bool {
+        let VirtualChannel {
+            buffer,
+            state: st,
+            out_port,
+            out_vc,
+            arrived,
+            prev_written_was_tail,
+        } = self;
+        *st == other.state
+            && *arrived == other.arrived
+            && *prev_written_was_tail == other.prev_written_was_tail
+            && buffer.state_eq(&other.buffer)
+            && (*st < state::VA_PENDING || *out_port == other.out_port)
+            && (*st != state::ACTIVE || *out_vc == other.out_vc)
+    }
+
     /// Resets the table after the current packet's tail has left.
     ///
     /// Write-side bookkeeping (`arrived`, `prev_written_was_tail`) is *not*
@@ -154,6 +184,22 @@ impl OutputPort {
             owner: vec![None; vcs as usize],
             disabled: vec![false; vcs as usize],
         }
+    }
+
+    /// Resync equality (see `Network::state_eq`): everything but
+    /// `owner`, which only containment reads.
+    pub(crate) fn state_eq(&self, other: &OutputPort) -> bool {
+        let OutputPort {
+            live,
+            free,
+            credits,
+            owner: _,
+            disabled,
+        } = self;
+        *live == other.live
+            && *free == other.free
+            && *credits == other.credits
+            && *disabled == other.disabled
     }
 
     /// Bitmask over downstream VCs that are free (allocatable).
