@@ -28,6 +28,9 @@ cargo fmt --all --check
 step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+step "rustdoc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 step "noc-lint (static verification)"
 # Fan the heavier passes out across the runner's cores (stdout is
 # byte-identical for every --jobs value) and report per-pass wall-clock

@@ -40,7 +40,7 @@
 //!   one fault *and* be the sole detector of at least one fault; a
 //!   checker that never is is semantically dead (`NL402`, hard error) —
 //!   this is what catches a weakened predicate (see the feature-gated
-//!   mutation hook [`detect_all_mutated`]).
+//!   mutation hook `detect_all_mutated`).
 //!
 //! One admitted detector is not a Table-1 checker: a persistent
 //! `BufEmpty` stuck-at-1 on an active VC suppresses switch-allocation

@@ -91,7 +91,7 @@ fn kind_intensity(kind: AttackKind) -> u32 {
     }
 }
 
-/// `p` in [0,100] over an unsorted sample; 0 for an empty one.
+/// `p` in `[0, 100]` over an unsorted sample; 0 for an empty one.
 fn percentile(sample: &mut [u64], p: usize) -> u64 {
     if sample.is_empty() {
         return 0;

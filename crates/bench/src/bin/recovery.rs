@@ -132,7 +132,7 @@ impl ClassSummary {
     }
 }
 
-/// `p` in [0,100] over an unsorted sample; 0 for an empty one.
+/// `p` in `[0, 100]` over an unsorted sample; 0 for an empty one.
 fn percentile(sample: &mut [u64], p: usize) -> u64 {
     if sample.is_empty() {
         return 0;

@@ -13,7 +13,7 @@ use golden::{Campaign, CampaignConfig, ResilienceOptions, RunResult};
 use noc_types::{Cycle, NocConfig};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -90,6 +90,9 @@ pub struct Experiment {
     /// Hang-detection policy: [`Watchdog::default_policy`] with any
     /// `--cycle-budget` / `--stall-window` override applied.
     pub watchdog: Watchdog,
+    /// The cancellation flag every phase shares, raised by the one
+    /// `<checkpoint-dir>/STOP` watcher; `None` without a checkpoint root.
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Experiment {
@@ -128,11 +131,13 @@ impl Experiment {
             eprintln!("[args] {e}");
             std::process::exit(2);
         }
+        let checkpoint_dir = args.str("checkpoint-dir").map(PathBuf::from);
         Experiment {
             noc,
             sites,
             threads,
-            checkpoint_dir: args.str("checkpoint-dir").map(PathBuf::from),
+            cancel: checkpoint_dir.as_deref().map(stop_watcher),
+            checkpoint_dir,
             resume: args.flag("resume"),
             watchdog,
         }
@@ -152,27 +157,12 @@ impl Experiment {
     /// `<checkpoint-dir>/<phase>` so binaries that run several campaigns
     /// (fig6's two warm-ups, ablate's per-checker sweeps) keep them
     /// separate. Creating `<checkpoint-dir>/STOP` requests a graceful
-    /// flush-and-exit (no OS signal handlers here: the workspace forbids
-    /// `unsafe`, so a polled file flag is the portable cancellation
-    /// channel; kill-safety for hard kills comes from the per-line shard
-    /// flushes instead).
+    /// flush-and-exit of every phase through one shared flag.
     pub fn resilience(&self, phase: &str) -> ResilienceOptions {
         ResilienceOptions {
             checkpoint_dir: self.checkpoint_dir.as_ref().map(|d| d.join(phase)),
             resume: self.resume,
-            cancel: self.checkpoint_dir.as_ref().map(|d| {
-                let flag = Arc::new(AtomicBool::new(false));
-                let watcher = Arc::clone(&flag);
-                let stop = d.join("STOP");
-                std::thread::spawn(move || loop {
-                    if stop.exists() {
-                        watcher.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(200));
-                });
-                flag
-            }),
+            cancel: self.cancel.clone(),
         }
     }
 
@@ -262,6 +252,25 @@ impl Experiment {
     }
 }
 
+/// Starts the one thread that polls for `<dir>/STOP` and returns the flag
+/// it raises when the file appears. No OS signal handlers here: the
+/// workspace forbids `unsafe`, so a polled file flag is the portable
+/// cancellation channel; kill-safety for hard kills comes from the
+/// per-line shard flushes instead.
+fn stop_watcher(dir: &Path) -> Arc<AtomicBool> {
+    let flag = Arc::new(AtomicBool::new(false));
+    let watcher = Arc::clone(&flag);
+    let stop = dir.join("STOP");
+    std::thread::spawn(move || loop {
+        if stop.exists() {
+            watcher.store(true, Ordering::SeqCst);
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(200));
+    });
+    flag
+}
+
 /// Writes `value` as pretty JSON to `--json PATH` if given.
 pub fn maybe_write_json<T: Serialize>(args: &Args, value: &T) {
     if let Some(path) = args.map.get("json") {
@@ -329,6 +338,25 @@ mod tests {
         );
     }
 
+    /// Every phase shares the one STOP watcher's flag, rather than
+    /// starting a polling thread per call.
+    #[test]
+    fn phases_share_one_cancel_flag() {
+        let mut a = Args::default();
+        let dir = std::env::temp_dir().join(format!("nocalert-stop-{}", std::process::id()));
+        a.map
+            .insert("checkpoint-dir".into(), dir.display().to_string());
+        let e = Experiment::from_args(&a);
+        let (w0, w1) = (e.resilience("w0"), e.resilience("w32000"));
+        let (Some(f0), Some(f1)) = (&w0.cancel, &w1.cancel) else {
+            panic!("a checkpoint root must come with a cancel flag");
+        };
+        assert!(Arc::ptr_eq(f0, f1));
+        assert_eq!(w1.checkpoint_dir, Some(dir.join("w32000")));
+        let plain = Experiment::from_args(&Args::default());
+        assert!(plain.resilience("w0").cancel.is_none());
+    }
+
     #[test]
     fn experiment_site_sampling() {
         let e = Experiment {
@@ -338,6 +366,7 @@ mod tests {
             checkpoint_dir: None,
             resume: false,
             watchdog: Watchdog::default_policy(),
+            cancel: None,
         };
         assert_eq!(e.site_list().len(), 50);
         let full = Experiment {

@@ -15,7 +15,7 @@
 //!    during an epoch, a fault is flagged at the epoch boundary. This is
 //!    the mechanism responsible for ForEVeR's ~3,000–12,000-cycle
 //!    detection latencies in Figure 7.
-//! 2. **Allocation Comparator** (from Shamshiri et al. [19]) — real-time
+//! 2. **Allocation Comparator** (from Shamshiri et al. \[19\]) — real-time
 //!    comparisons on the allocation logic: grants without requests and
 //!    non-one-hot grant vectors are flagged instantly.
 //! 3. **End-to-end checker** — recomputed end-to-end checks on delivered

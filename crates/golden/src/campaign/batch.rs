@@ -40,32 +40,20 @@
 //!   `state_eq`), and golden's records provably raise nothing (the
 //!   trajectory build verifies this and disables the engine otherwise).
 //!
-//! * **Probe batching** — sustained faults (permanent / stuck-at /
-//!   intermittent) never go inert, so resync does not apply. Instead, up
-//!   to 64 of them are armed as *pass-through probes* on one network
-//!   stepped once along the golden schedule; each lane's would-be flip
-//!   count falls out of the single pass. Lanes with zero hits are vacuous
-//!   — their result is synthesized from the golden trajectory — and only
-//!   lanes that would actually flip a wire pay for a scalar rollout.
-//!
 //! Rollouts the engine cannot prove equivalent fall back to the scalar
-//! path unchanged: recovery-enabled networks (containment mutates state
-//! the equality certificate does not cover), specs starting before the
-//! snapshot, malformed specs, and lanes that never re-converge within the
-//! active window.
+//! path unchanged: sustained faults (permanent, stuck-at, intermittent),
+//! which never go inert; recovery-enabled networks (containment mutates
+//! state the equality certificate does not cover); specs starting before
+//! the snapshot; and lanes that never re-converge within the active
+//! window.
 
 use super::{Campaign, CampaignArena, RunResult};
-use crate::oracle::{RunLog, Verdict};
+use crate::oracle::RunLog;
 use fault::{drain_watched, FaultSpec, Hang, StallMeter, Watchdog};
-use noc_sim::{ArmedFault, Network, NullObserver, Observer};
+use noc_sim::{Network, Observer};
 use noc_types::record::CycleRecord;
 use noc_types::site::FaultKind;
 use noc_types::Cycle;
-
-/// Probe batches pair one stepped network with up to this many
-/// pass-through lanes — one bit-lane per probe, matching the `u64`
-/// router masks the fault plane scans.
-pub(crate) const PROBE_LANES: usize = 64;
 
 /// Cached golden artifacts backing the batched engine. One per
 /// [`Campaign`], built lazily on first batched use.
@@ -88,9 +76,6 @@ pub(crate) struct GoldenTrajectory {
     /// a watchdog whose stall window exceeds this can never trip on a
     /// golden-equal trajectory.
     max_stall: Cycle,
-    /// The (empty) verdict of a clean golden run, reused for synthesized
-    /// vacuous-lane results.
-    clean_verdict: Verdict,
     /// The engine may be used at all: recovery disabled, golden drained,
     /// and both detectors provably silent along the entire golden
     /// trajectory including the coda (replay feeds converged lanes empty
@@ -157,7 +142,6 @@ impl Campaign {
             drained,
             end_cycle,
             max_stall,
-            clean_verdict,
             usable,
         }
     }
@@ -297,150 +281,13 @@ impl Campaign {
             hang,
         ))
     }
-
-    /// Runs one probe batch of sustained-fault lanes: a single pass along
-    /// the golden schedule with all lanes armed as pass-through probes,
-    /// then synthesized results for vacuous lanes and scalar rollouts for
-    /// the rest. Pushes `(input_index, result)` pairs onto `out`.
-    fn run_probe_group(
-        &self,
-        arena: &mut CampaignArena,
-        group: &[(usize, FaultSpec)],
-        out: &mut Vec<(usize, RunResult)>,
-    ) {
-        let traj = self.trajectory();
-        let probes: Vec<ArmedFault> = group
-            .iter()
-            .map(|&(_, s)| ArmedFault {
-                site: s.site,
-                kind: s.kind,
-                start: s.start,
-            })
-            .collect();
-        arena.net.clone_from(&self.snapshot);
-        arena.net.arm_probes(&probes);
-        // The probes are pass-through, so this pass follows the golden
-        // trajectory exactly — over the same horizon a scalar vacuous
-        // rollout would cover (active window, drain, coda).
-        for _ in 0..self.cc.active_window {
-            arena.net.step_observed(&mut NullObserver);
-        }
-        let _ = arena.net.drain(&mut NullObserver, self.cc.drain_deadline);
-        for _ in 0..(2 * self.cc.forever_epoch + 1) {
-            arena.net.step_observed(&mut NullObserver);
-        }
-        arena.work.stepped_cycles += arena.net.cycle() - self.injection_cycle();
-        let hits = arena.net.probe_hits().to_vec();
-        arena.net.clear_probes();
-        for (lane, &(i, spec)) in group.iter().enumerate() {
-            if hits[lane] == 0 {
-                arena.work.vacuous += 1;
-                // Zero would-be flips along the entire golden schedule:
-                // the scalar rollout would be the golden run, hit for
-                // hit and event for event. Its detectors stay silent
-                // (certified by the trajectory build), so the warm
-                // detector states answer every `assemble` query
-                // identically to fully-run ones.
-                out.push((
-                    i,
-                    self.assemble(
-                        spec,
-                        0,
-                        traj.clean_verdict.clone(),
-                        &self.bank0,
-                        &self.forever0,
-                    ),
-                ));
-            } else {
-                out.push((i, self.run_spec_in(arena, spec)));
-            }
-        }
-    }
-
-    /// Runs arbitrary fault specs through the batched engine: eligible
-    /// transients take the resync-ladder fast path, sustained kinds are
-    /// screened for vacuity in probe batches of up to [`PROBE_LANES`],
-    /// and everything else (malformed specs, starts outside the active
-    /// window, recovery-enabled configurations) falls back to the scalar
-    /// path. Results are in input order and bit-identical to
-    /// [`Campaign::run_spec_in`] per spec, for any `threads` value
-    /// (`0`/`1` ⇒ sequential).
-    ///
-    /// This is the fail-fast analogue of [`Campaign::run_many_resilient`]:
-    /// a panicking rollout propagates.
-    pub fn run_specs_batched(&self, specs: &[FaultSpec], threads: usize) -> Vec<RunResult> {
-        // Build the shared trajectory before any worker needs it.
-        let _ = self.trajectory();
-        let run_share = |share: &mut dyn Iterator<Item = (usize, FaultSpec)>| {
-            let mut arena = self.arena();
-            let mut out: Vec<(usize, RunResult)> = Vec::new();
-            let mut probe_group: Vec<(usize, FaultSpec)> = Vec::new();
-            for (i, spec) in share {
-                if spec.kind == FaultKind::Transient {
-                    let r = match self.run_transient_batched_in(&mut arena, spec, Watchdog::OFF) {
-                        Some((r, _)) => r,
-                        None => self.run_spec_in(&mut arena, spec),
-                    };
-                    out.push((i, r));
-                } else if self.trajectory().usable
-                    && spec.start >= self.injection_cycle()
-                    && spec.validate().is_ok()
-                {
-                    probe_group.push((i, spec));
-                    if probe_group.len() == PROBE_LANES {
-                        self.run_probe_group(&mut arena, &probe_group, &mut out);
-                        probe_group.clear();
-                    }
-                } else {
-                    out.push((i, self.run_spec_in(&mut arena, spec)));
-                }
-            }
-            if !probe_group.is_empty() {
-                self.run_probe_group(&mut arena, &probe_group, &mut out);
-            }
-            out
-        };
-        let mut tagged: Vec<(usize, RunResult)> = Vec::with_capacity(specs.len());
-        if threads <= 1 || specs.len() < 2 {
-            tagged = run_share(&mut specs.iter().copied().enumerate());
-        } else {
-            let workers = threads.min(specs.len());
-            let run_share = &run_share;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            // Round-robin sharding: worker `w` takes specs
-                            // w, w+workers, w+2·workers, … Results carry
-                            // their input index, so reassembly is in input
-                            // order and bit-identical for any worker count.
-                            run_share(
-                                &mut specs.iter().copied().enumerate().skip(w).step_by(workers),
-                            )
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    match h.join() {
-                        Ok(part) => tagged.extend(part),
-                        // This is the fail-fast path: a rollout panic
-                        // propagates, exactly like `run_many`'s.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            });
-        }
-        // Probe grouping and round-robin sharding both permute completion
-        // order; the input index restores it.
-        tagged.sort_unstable_by_key(|&(i, _)| i);
-        tagged.into_iter().map(|(_, r)| r).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CampaignConfig, WorkCounts};
+    use crate::campaign::{CampaignConfig, ResilienceOptions, RunOutcome, WorkCounts};
+    use noc_sim::NullObserver;
     use noc_types::site::{SignalKind, SiteRef};
     use noc_types::NocConfig;
 
@@ -530,8 +377,9 @@ mod tests {
     }
 
     /// The differential sweep pinning the engine: every fault class at
-    /// rotating injection offsets over stride-sampled sites, batched vs
-    /// scalar, byte-identical `RunResult`s.
+    /// rotating injection offsets over stride-sampled sites, through the
+    /// sweep driver (batched where the engine applies) vs scalar,
+    /// byte-identical `RunResult`s.
     fn assert_differential_sweep(c: &Campaign) {
         assert!(c.trajectory().usable, "the engine must be exercised");
         let inj = c.injection_cycle();
@@ -556,11 +404,18 @@ mod tests {
                 });
             }
         }
-        let batched = c.run_specs_batched(&specs, 1);
-        assert_eq!(batched.len(), specs.len());
+        let swept = c
+            .run_many_resilient(&specs, 1, Watchdog::OFF, &ResilienceOptions::default())
+            .expect("a memory-only sweep cannot fail");
+        assert_eq!(swept.reports.len(), specs.len());
         let mut arena = c.arena();
-        for (spec, got) in specs.iter().zip(&batched) {
-            assert_eq!(*got, c.run_spec_in(&mut arena, *spec), "{spec:?}");
+        for (spec, got) in specs.iter().zip(&swept.reports) {
+            assert_eq!(got.spec, *spec);
+            assert_eq!(
+                got.outcome,
+                RunOutcome::Completed(c.run_spec_in(&mut arena, *spec)),
+                "{spec:?}"
+            );
         }
     }
 
@@ -737,7 +592,7 @@ mod tests {
             let mut fresh = c.arena();
             c.run_spec_resilient_in(&mut fresh, spec, dog);
             let w = fresh.work;
-            assert_eq!((w.vacuous, w.scalar), (0, 0), "{spec:?}");
+            assert_eq!(w.scalar, 0, "{spec:?}");
             if w.converged > 0 {
                 assert_eq!((w.converged, w.tail), (1, 0), "{spec:?}");
                 assert_eq!(w.stepped_cycles + w.replayed_cycles, horizon, "{spec:?}");
@@ -751,65 +606,9 @@ mod tests {
                 replayed_cycles: 101_362,
                 converged: 103,
                 tail: 30,
-                vacuous: 0,
                 scalar: 0,
             }
         );
-    }
-
-    /// A probe batch splits its lanes into vacuous ones, synthesized from
-    /// golden with zero hits, and ones that pay a plain scalar rollout.
-    #[test]
-    fn probe_lanes_count_as_vacuous_or_scalar() {
-        let c = small_campaign();
-        let inj = c.injection_cycle();
-        let group: Vec<(usize, FaultSpec)> =
-            fault::sample::stride(&fault::enumerate_sites(&c.cc.noc), PROBE_LANES)
-                .into_iter()
-                .map(|site| FaultSpec::permanent(site, inj))
-                .enumerate()
-                .collect();
-        let mut arena = c.arena();
-        let mut out = Vec::new();
-        c.run_probe_group(&mut arena, &group, &mut out);
-        let w = arena.work;
-        let vacuous = out.iter().filter(|(_, r)| r.fault_hits == 0).count() as u64;
-        assert!(0 < vacuous && vacuous < group.len() as u64, "{w:?}");
-        assert_eq!(
-            (w.vacuous, w.scalar),
-            (vacuous, group.len() as u64 - vacuous)
-        );
-        assert_eq!((w.converged, w.tail, w.replayed_cycles), (0, 0, 0));
-    }
-
-    /// Probe demux: more sustained lanes than one 64-lane batch,
-    /// interleaved with transients, must come back in input order and
-    /// per-spec bit-identical to the scalar path — for any thread count.
-    #[test]
-    fn probe_demux_restores_input_order_across_lane_boundaries() {
-        let c = small_campaign();
-        let inj = c.injection_cycle();
-        let sites = fault::enumerate_sites(&c.cc.noc);
-        let mut specs = Vec::new();
-        for i in 0..70usize {
-            let site = sites[(i * 97) % sites.len()];
-            specs.push(FaultSpec {
-                site,
-                kind: FaultKind::StuckAt1,
-                start: inj + (i as Cycle % 50),
-            });
-            if i % 7 == 0 {
-                specs.push(FaultSpec::transient(site, inj + i as Cycle));
-            }
-        }
-        let seq = c.run_specs_batched(&specs, 1);
-        let par = c.run_specs_batched(&specs, 3);
-        assert_eq!(seq, par, "probe batching must be thread-invariant");
-        assert_eq!(seq.len(), specs.len());
-        let mut arena = c.arena();
-        for (spec, got) in specs.iter().zip(&seq) {
-            assert_eq!(*got, c.run_spec_in(&mut arena, *spec), "{spec:?}");
-        }
     }
 
     /// The engine declines — rather than approximates — everything its
@@ -831,7 +630,7 @@ mod tests {
         assert!(c
             .run_transient_batched_in(&mut arena, early, Watchdog::OFF)
             .is_none());
-        // Sustained kinds belong to the probe path, not the resync ladder.
+        // Sustained kinds never go inert, so they never resync.
         let perm = FaultSpec::permanent(site, inj);
         assert!(c
             .run_transient_batched_in(&mut arena, perm, Watchdog::OFF)

@@ -15,7 +15,7 @@
 //! runtime ([`Campaign::run_many_resilient`]) keeps multi-hour sweeps
 //! alive through them:
 //!
-//! * **panic isolation** ([`resilience`]) — each run executes behind
+//! * **panic isolation** (`resilience`) — each run executes behind
 //!   `catch_unwind`; a panicking run becomes a structured
 //!   [`RunOutcome::Crashed`] carrying the site and payload;
 //! * **watchdogs** ([`fault::Watchdog`]) — a per-run cycle budget plus
@@ -184,7 +184,7 @@ pub struct CampaignArena {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct WorkCounts {
     /// Cycles advanced by stepping a network: lanes up to their resync
-    /// rung, scalar tails, plain scalar rollouts and probe passes.
+    /// rung, scalar tails and plain scalar rollouts.
     pub(crate) stepped_cycles: u64,
     /// Cycles completed by replaying golden events into a lane's
     /// observers instead of stepping: skipped prefixes and converged
@@ -196,11 +196,8 @@ pub(crate) struct WorkCounts {
     /// Transient lanes that never re-converged and finished by the
     /// scalar tail.
     pub(crate) tail: u64,
-    /// Sustained-fault probe lanes with zero would-be flips, whose result
-    /// was synthesized from golden.
-    pub(crate) vacuous: u64,
     /// Plain scalar rollouts ([`Campaign::run_spec_in`] and its watched
-    /// form): specs the engine declines and non-vacuous probe lanes.
+    /// form): every spec the batched engine declines.
     pub(crate) scalar: u64,
 }
 
@@ -362,6 +359,22 @@ impl Campaign {
         (result, watched.hang)
     }
 
+    /// One rollout through the batched engine where its equivalence
+    /// proof applies and through the scalar path where it does not;
+    /// either way bit-identical to [`Campaign::run_spec_watched_in`].
+    /// This is the one engine choice every fan-out shares.
+    fn rollout_in(
+        &self,
+        arena: &mut CampaignArena,
+        spec: FaultSpec,
+        dog: Watchdog,
+    ) -> (RunResult, Option<Hang>) {
+        match self.run_transient_batched_in(arena, spec, dog) {
+            Some(out) => out,
+            None => self.run_spec_watched_in(arena, spec, dog),
+        }
+    }
+
     /// Resets an arena to the warm snapshot state; its [`WorkCounts`]
     /// keep accumulating.
     fn rewind(&self, arena: &mut CampaignArena) {
@@ -449,12 +462,7 @@ impl Campaign {
             // equivalence proof; its results are bit-identical where it
             // applies, so retry determinism is unaffected by which path a
             // given attempt takes.
-            match resilience::catch_payload(|| {
-                match self.run_transient_batched_in(arena, spec, dog) {
-                    Some(out) => out,
-                    None => self.run_spec_watched_in(arena, spec, dog),
-                }
-            }) {
+            match resilience::catch_payload(|| self.rollout_in(arena, spec, dog)) {
                 Ok((result, None)) => RunOutcome::Completed(result),
                 Ok((result, Some(hang))) => RunOutcome::Deadlock { result, hang },
                 Err(payload) => RunOutcome::Crashed {
@@ -486,26 +494,41 @@ impl Campaign {
     }
 
     /// Runs a batch of transient injections, one per site, across
-    /// `threads` worker threads (`0`/`1` ⇒ sequential). Results are in
-    /// site order and bit-identical regardless of thread count — the
-    /// workers shard round-robin (worker `w` takes sites `w`, `w+threads`,
-    /// …) and results are reassembled by input index, so the per-site
-    /// results never depend on how the batch was split.
+    /// `threads` worker threads (`0`/`1` ⇒ sequential), through the same
+    /// sweep driver and engine choice as [`Campaign::run_many_resilient`]
+    /// but without a watchdog or journal. Results are in site order and
+    /// bit-identical to [`Campaign::run_spec_in`]'s for any thread count.
     ///
-    /// Rollouts go through the batched bit-plane engine ([`batch`]) where
-    /// its equivalence proof applies and through the scalar path where it
-    /// does not; either way each result is bit-identical to
-    /// [`Campaign::run_spec_in`]'s.
+    /// # Panics
     ///
-    /// This is the fail-fast path: a panicking run propagates. Use
-    /// [`Campaign::run_many_resilient`] for sweeps that must survive
-    /// poisoned sites.
+    /// This is the fail-fast path: a panicking rollout panics the call,
+    /// on a worker thread too. Use [`Campaign::run_many_resilient`] for
+    /// sweeps that must survive poisoned sites.
     pub fn run_many(&self, sites: &[SiteRef], threads: usize) -> Vec<RunResult> {
         let specs: Vec<FaultSpec> = sites
             .iter()
             .map(|&s| FaultSpec::transient(s, self.injection_cycle()))
             .collect();
-        self.run_specs_batched(&specs, threads)
+        // Build the shared golden trajectory before any worker allocates
+        // its arena: building it inside the first rollout instead raises
+        // the 8×8 sweep's peak RSS by about 1 MB (allocation order).
+        let _ = self.trajectory();
+        let swept = sweep::sweep(
+            &self.cc,
+            &specs,
+            threads,
+            &ResilienceOptions::default(),
+            |r: &RunResult| FaultSpec::transient(r.site, r.injected_at),
+            || self.arena(),
+            |arena, spec| Ok(self.rollout_in(arena, spec, Watchdog::OFF).0),
+        );
+        match swept {
+            Ok(report) => report.reports,
+            // Without a journal, only a worker's panic fails the sweep:
+            // re-raise it here, as a sequential sweep's panic would be
+            // (the worker's panic hook has printed it already).
+            Err(e) => std::panic::resume_unwind(Box::new(e.to_string())),
+        }
     }
 
     /// The resilient batch driver: panic isolation, the `dog` watchdog,

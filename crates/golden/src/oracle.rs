@@ -27,7 +27,7 @@
 //! The comparison is one left-to-right pass over the ejection log, so its
 //! state after a prefix of the log is all the rest of the pass needs.
 //! A campaign's rollouts all share the warm-up prefix: the campaign folds
-//! those ejections once into a [`Classifier`], and each rollout resumes
+//! those ejections once into a `Classifier`, and each rollout resumes
 //! from a copy of it with its own post-injection events only. The result
 //! is the verdict [`classify`] gives over the full concatenated log.
 

@@ -110,7 +110,8 @@ impl ControlSignature {
 /// Sender-side decision for an arrived control packet: authenticate
 /// first, then let the control kind pick between completion and
 /// immediate retransmission. Spoof-hardened — compare the trusting
-/// pre-hardening rule [`sender_control_action_trusting`].
+/// pre-hardening rule `sender_control_action_trusting` (built for tests
+/// and the `mutation` feature only).
 #[inline]
 pub fn sender_control_action(sig: ControlSignature) -> SenderControlAction {
     if !sig.tag_valid || !sig.src_valid {

@@ -36,8 +36,8 @@ pub struct ArmedFault {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlane {
     faults: Vec<ArmedFault>,
-    /// Sorted, deduplicated router ids carrying at least one fault or
-    /// probe — the quiescent-router fast path in the network probes this.
+    /// Sorted, deduplicated router ids carrying at least one fault — the
+    /// quiescent-router fast path in the network consults this.
     routers: Vec<u16>,
     /// Bit `r` set iff router id `r < 64` appears in `routers`. Router
     /// ids ≥ 64 (meshes larger than 8×8) fall back to the sorted vec.
@@ -46,16 +46,6 @@ pub struct FaultPlane {
     /// a mask even while faults are armed elsewhere in the mesh.
     router_mask: u64,
     hits: u64,
-    /// Pass-through probe faults: evaluated exactly like `faults` but the
-    /// wire value is never modified; would-be flips are tallied per probe
-    /// in `probe_hits`. The batched campaign engine arms one probe per
-    /// rollout lane to discover which lanes are vacuous along the golden
-    /// trajectory. Transient faults on register signals are not supported
-    /// as probes (they corrupt stored state in place, which cannot be
-    /// modelled pass-through).
-    probes: Vec<ArmedFault>,
-    /// Per-probe would-be hit counts, indexed like `probes`.
-    probe_hits: Vec<u64>,
 }
 
 impl FaultPlane {
@@ -67,9 +57,8 @@ impl FaultPlane {
     /// Arms `fault`, replacing any previous ones and resetting the hit
     /// count (the single-fault campaign entry point).
     pub fn arm(&mut self, fault: ArmedFault) {
-        self.faults.clear();
+        self.disarm();
         self.hits = 0;
-        self.rebuild_index();
         self.arm_additional(fault);
     }
 
@@ -81,38 +70,11 @@ impl FaultPlane {
         self.index_router(fault.site.router);
     }
 
-    /// Disarms all real faults (probes are untouched).
+    /// Disarms every fault.
     pub fn disarm(&mut self) {
         self.faults.clear();
-        self.rebuild_index();
-    }
-
-    /// Replaces the probe set, zeroing the per-probe hit tallies. Probes
-    /// never alter wire values; they only count would-be flips.
-    pub fn arm_probes(&mut self, probes: &[ArmedFault]) {
-        self.probes.clear();
-        self.probes.extend_from_slice(probes);
-        self.probe_hits.clear();
-        self.probe_hits.resize(probes.len(), 0);
-        self.rebuild_index();
-    }
-
-    /// Removes every probe (real faults are untouched).
-    pub fn clear_probes(&mut self) {
-        self.probes.clear();
-        self.probe_hits.clear();
-        self.rebuild_index();
-    }
-
-    /// Per-probe would-be hit counts, indexed like the slice passed to
-    /// [`FaultPlane::arm_probes`].
-    pub fn probe_hits(&self) -> &[u64] {
-        &self.probe_hits
-    }
-
-    /// Number of armed probes.
-    pub fn probe_count(&self) -> usize {
-        self.probes.len()
+        self.routers.clear();
+        self.router_mask = 0;
     }
 
     fn index_router(&mut self, router: u16) {
@@ -124,34 +86,10 @@ impl FaultPlane {
         }
     }
 
-    fn rebuild_index(&mut self) {
-        self.routers.clear();
-        self.router_mask = 0;
-        let mut ids: Vec<u16> = self
-            .faults
-            .iter()
-            .chain(self.probes.iter())
-            .map(|f| f.site.router)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        for id in ids {
-            if id < 64 {
-                self.router_mask |= 1u64 << id;
-            }
-            self.routers.push(id);
-        }
-    }
-
     /// The first armed fault, if any (the single-fault campaigns arm
     /// exactly one, so this is *the* fault for them).
     pub fn armed(&self) -> Option<&ArmedFault> {
         self.faults.first()
-    }
-
-    /// Every armed fault, in arming order.
-    pub fn armed_all(&self) -> &[ArmedFault] {
-        &self.faults
     }
 
     /// Number of armed faults.
@@ -159,7 +97,7 @@ impl FaultPlane {
         self.faults.len()
     }
 
-    /// Whether any armed fault or probe targets `router` — the network's
+    /// Whether any armed fault targets `router` — the network's
     /// quiescent-router fast path.
     #[inline]
     pub fn router_armed(&self, router: u16) -> bool {
@@ -175,8 +113,8 @@ impl FaultPlane {
         self.hits
     }
 
-    /// True when no armed fault or probe can influence any wire (or
-    /// tally) at any cycle ≥ `cycle` — every one is a transient whose
+    /// True when no armed fault can influence any wire at any cycle
+    /// ≥ `cycle` — every one is a transient whose
     /// single active instant already passed. Sustained kinds (permanent,
     /// stuck-at, intermittent) are never inert. An inert plane's
     /// [`FaultPlane::xf`] is the identity and counts no hits, so skipping
@@ -184,7 +122,6 @@ impl FaultPlane {
     pub fn inert_from(&self, cycle: Cycle) -> bool {
         self.faults
             .iter()
-            .chain(self.probes.iter())
             .all(|f| f.kind == FaultKind::Transient && f.start < cycle)
     }
 
@@ -207,11 +144,6 @@ impl FaultPlane {
         }
     }
 
-    /// [`FaultPlane::register_upset_due_at`] for the single-fault case.
-    pub fn register_upset_due(&self, cycle: Cycle) -> Option<SiteRef> {
-        self.register_upset_due_at(0, cycle)
-    }
-
     /// Records an out-of-band hit (used when a register upset is applied
     /// directly to stored state).
     pub fn note_hit(&mut self) {
@@ -221,7 +153,7 @@ impl FaultPlane {
     /// Transforms the wire `value` of `signal` at instance
     /// `(router, port, vc)` during `cycle`.
     ///
-    /// The hot path (no fault or probe armed on this router) is a shift
+    /// The hot path (no fault armed on this router) is a shift
     /// and a mask against `router_mask`, so arming a fault on one router
     /// costs the other 63 nothing.
     #[inline]
@@ -237,7 +169,7 @@ impl FaultPlane {
         if router < 64 && self.router_mask & (1u64 << router) == 0 {
             return value;
         }
-        if self.faults.is_empty() && self.probes.is_empty() {
+        if self.faults.is_empty() {
             return value;
         }
         self.xf_slow(cycle, router, port, vc, signal, value)
@@ -279,25 +211,6 @@ impl FaultPlane {
             }
         }
         self.hits += hits;
-        // Probes see the post-fault wire level (faults and probes are
-        // never armed together in practice) and tally would-be flips
-        // without touching the value.
-        for (i, f) in self.probes.iter().enumerate() {
-            if f.kind == FaultKind::Transient && f.site.signal.is_register() {
-                continue;
-            }
-            let s = &f.site;
-            if s.router == router
-                && s.signal == signal
-                && s.port == port
-                && s.vc == vc
-                && cycle >= f.start
-                && f.kind.active_at(cycle - f.start)
-                && f.kind.apply(value, s.bit) != value
-            {
-                self.probe_hits[i] += 1;
-            }
-        }
         value
     }
 
@@ -463,69 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn probes_tally_without_touching_the_wire() {
-        let mut p = FaultPlane::new();
-        p.arm_probes(&[
-            ArmedFault {
-                site: site(),
-                kind: FaultKind::StuckAt1,
-                start: 0,
-            },
-            ArmedFault {
-                site: SiteRef {
-                    router: 7,
-                    ..site()
-                },
-                kind: FaultKind::Permanent,
-                start: 0,
-            },
-        ]);
-        assert!(p.router_armed(3) && p.router_armed(7) && !p.router_armed(4));
-        assert!(!p.inert_from(1_000));
-        // Bit 1 low: the stuck-at-1 probe would flip it — tallied, value
-        // untouched, global hit counter untouched.
-        assert_eq!(p.xf(1, 3, 1, 2, SignalKind::RcOutDir, 0b100), 0b100);
-        // Bit 1 already high: stuck-at-1 invisible, no tally.
-        assert_eq!(p.xf(2, 3, 1, 2, SignalKind::RcOutDir, 0b010), 0b010);
-        assert_eq!(p.xf(2, 7, 1, 2, SignalKind::RcOutDir, 0), 0);
-        assert_eq!(p.probe_hits(), &[1, 1]);
-        assert_eq!(p.hits(), 0);
-        p.clear_probes();
-        assert!(!p.router_armed(3));
-        assert_eq!(p.probe_count(), 0);
-    }
-
-    #[test]
-    fn probes_survive_rearm_and_faults_survive_probe_swap() {
-        let mut p = FaultPlane::new();
-        p.arm(ArmedFault {
-            site: site(),
-            kind: FaultKind::Transient,
-            start: 10,
-        });
-        p.arm_probes(&[ArmedFault {
-            site: SiteRef {
-                router: 9,
-                ..site()
-            },
-            kind: FaultKind::Permanent,
-            start: 0,
-        }]);
-        p.arm(ArmedFault {
-            site: SiteRef {
-                router: 5,
-                ..site()
-            },
-            kind: FaultKind::Transient,
-            start: 10,
-        });
-        assert!(p.router_armed(5) && p.router_armed(9) && !p.router_armed(3));
-        p.clear_probes();
-        assert!(p.router_armed(5) && !p.router_armed(9));
-        assert_eq!(p.fault_count(), 1);
-    }
-
-    #[test]
     fn router_mask_tracks_disarm() {
         let mut p = FaultPlane::new();
         p.arm(ArmedFault {
@@ -536,7 +386,7 @@ mod tests {
         assert!(p.router_armed(3));
         p.disarm();
         assert!(!p.router_armed(3));
-        // Disarmed plane is pass-through again even for the probed router.
+        // Disarmed plane is pass-through again even for that router.
         assert_eq!(p.xf(1, 3, 1, 2, SignalKind::RcOutDir, 0), 0);
     }
 

@@ -362,11 +362,6 @@ impl Network {
         self.plane.arm_additional(ArmedFault { site, kind, start });
     }
 
-    /// Number of faults currently armed on the plane.
-    pub fn armed_fault_count(&self) -> usize {
-        self.plane.fault_count()
-    }
-
     /// The fault-region map, when `RoutingAlgorithm::FaultRegion` is
     /// configured (read-only; the network owns all mutation).
     pub fn fault_region_map(&self) -> Option<&FaultRegionMap> {
@@ -525,25 +520,6 @@ impl Network {
     /// Disarms the fault plane.
     pub fn disarm_fault(&mut self) {
         self.plane.disarm();
-    }
-
-    /// Arms a set of pass-through probe faults (replacing any probes).
-    /// Probes never alter wire values; they tally would-be flips per
-    /// probe, which the batched campaign engine uses to discover vacuous
-    /// rollout lanes along the golden trajectory in a single pass.
-    pub fn arm_probes(&mut self, probes: &[ArmedFault]) {
-        self.plane.arm_probes(probes);
-    }
-
-    /// Removes every probe fault.
-    pub fn clear_probes(&mut self) {
-        self.plane.clear_probes();
-    }
-
-    /// Per-probe would-be hit counts, indexed like the slice passed to
-    /// [`Network::arm_probes`].
-    pub fn probe_hits(&self) -> &[u64] {
-        self.plane.probe_hits()
     }
 
     /// How many times the armed fault actually flipped a live wire.

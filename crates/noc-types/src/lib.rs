@@ -1,7 +1,7 @@
 //! Fundamental data types shared by every crate in the NoCAlert reproduction.
 //!
 //! This crate deliberately contains *no behaviour* beyond small helpers: it is
-//! the vocabulary that the cycle-accurate simulator ([`noc-sim`]), the
+//! the vocabulary that the cycle-accurate simulator (`noc-sim`), the
 //! NoCAlert invariance checkers (`nocalert`), the fault-injection framework
 //! (`nocalert-fault`), the ForEVeR baseline (`nocalert-forever`) and the
 //! golden-reference oracle (`nocalert-golden`) use to talk to each other.
@@ -66,6 +66,7 @@ pub use site::{FaultKind, ModuleClass, SignalDir, SignalKind, SiteRef};
 
 /// A simulation cycle number.
 ///
-/// Cycles start at 0 and advance by one per [`step`] of the network.
+/// Cycles start at 0 and advance by one per `Network::step` of the
+/// network.
 /// The alias exists to make signatures self-describing.
 pub type Cycle = u64;

@@ -21,6 +21,9 @@
 //! pool size bounds *jobs in flight*; each job additionally shards its
 //! own campaign across `spec.threads` rollout workers. Connections are
 //! served one thread each, at most [`MAX_CONNECTIONS`] at once.
+//!
+//! [`JobStatus`]: noc_types::JobStatus
+//! [`JobResult`]: noc_types::JobResult
 
 use golden::{GoldenCache, JobDriver};
 use noc_types::{JobEvent, JobSpec, JobState};
