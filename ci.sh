@@ -65,16 +65,23 @@ JOB="$("$NOCALERTD" submit --addr "$SVC_ADDR" --spec "$SPEC")"
 "$NOCALERTD" wait --addr "$SVC_ADDR" --job "$JOB" --timeout-secs 300
 INCIDENTS="$("$NOCALERTD" events --addr "$SVC_ADDR" --job "$JOB" | grep -c Incident)"
 [ "$INCIDENTS" -ge 1 ] || { echo "service smoke: empty incident stream" >&2; exit 1; }
-# Second job, killed mid-run, must complete after a restart (resume).
-JOB2="$("$NOCALERTD" submit --addr "$SVC_ADDR" --spec "${SPEC/\"limit\":1/\"limit\":5}")"
-sleep 1
+# Second job (383 sites, about a second of work), SIGKILLed right after
+# its first progress frame, must resume its journalled units after a
+# restart. The loop stops reading at that frame; `events` then dies of
+# the closed pipe or the closed connection, and its status is not ours.
+JOB2="$("$NOCALERTD" submit --addr "$SVC_ADDR" --spec "${SPEC/\"limit\":1/\"limit\":400}")"
+while IFS= read -r FRAME; do
+    case "$FRAME" in *Progress*) break ;; esac
+done < <("$NOCALERTD" events --addr "$SVC_ADDR" --job "$JOB2" 2>/dev/null)
 kill -9 "$SVC_PID"; wait "$SVC_PID" 2>/dev/null || true
 "$NOCALERTD" serve --data-dir "$SVC_DIR" --addr 127.0.0.1:0 \
     --addr-file "$SVC_DIR/addr2" --workers 1 &
 SVC_PID=$!
 for _ in $(seq 1 100); do [ -s "$SVC_DIR/addr2" ] && break; sleep 0.1; done
 SVC_ADDR="$(cat "$SVC_DIR/addr2")"
-"$NOCALERTD" wait --addr "$SVC_ADDR" --job "$JOB2" --timeout-secs 300
+SUMMARY="$("$NOCALERTD" wait --addr "$SVC_ADDR" --job "$JOB2" --timeout-secs 300)"
+echo "$SUMMARY"
+[[ "$SUMMARY" =~ resumed\ [1-9] ]] || { echo "service smoke: the restarted job resumed nothing" >&2; exit 1; }
 # Hostile input: a deeply nested JSON body gets a 400, and the daemon
 # keeps answering.
 svc_status() { # METHOD PATH [BODY] -> the daemon's status line

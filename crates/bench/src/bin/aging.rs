@@ -30,12 +30,11 @@
 //! overwritten.
 
 use golden::{AgingError, AgingHarness, AgingOptions, AgingOutcome, AgingReport, EpochReport};
-use nocalert_bench::{maybe_write_json, row, Args};
+use nocalert_bench::{fail, maybe_write_json, row, Args};
+use std::ops::ControlFlow;
 
-fn fail(msg: &str) -> ! {
-    eprintln!("[aging] fatal: {msg}");
-    std::process::exit(2);
-}
+/// The binary's tag in fatal diagnostics.
+const TAG: &str = "aging";
 
 fn options_from(args: &Args) -> AgingOptions {
     let mut opts = if args.flag("smoke") {
@@ -90,7 +89,7 @@ fn print_epoch(e: &EpochReport) {
 
 fn summarize(report: &AgingReport, opts: &AgingOptions) -> i32 {
     let Some(last) = report.epochs.last() else {
-        fail("campaign produced no epochs");
+        fail(TAG, "campaign produced no epochs");
     };
     println!("\n== Aging summary ==");
     row("epochs survived", report.epochs.len());
@@ -148,7 +147,7 @@ fn main() {
     let opts = options_from(&args);
     let harness = match AgingHarness::try_new(opts.clone()) {
         Ok(h) => h,
-        Err(e) => fail(&format!("harness rejected options: {e}")),
+        Err(e) => fail(TAG, &format!("harness rejected options: {e}")),
     };
     let plan_len = harness.plan().len();
     println!(
@@ -163,7 +162,7 @@ fn main() {
     let (prior, mut log) = match args.str("checkpoint-dir") {
         Some(d) => match harness.open_journal(d, args.flag("resume")) {
             Ok((prior, writer)) => (prior, Some(writer)),
-            Err(e) => fail(&format!("checkpoint: {e}")),
+            Err(e) => fail(TAG, &format!("checkpoint: {e}")),
         },
         None => (Vec::new(), None),
     };
@@ -182,17 +181,21 @@ fn main() {
         print_epoch(e);
         if let Some(log) = log.as_mut() {
             if let Err(err) = log.append(e) {
-                fail(&format!("checkpoint append: {err}"));
+                fail(TAG, &format!("checkpoint append: {err}"));
             }
         }
+        ControlFlow::Continue(())
     });
     let report = match result {
         Ok(r) => r,
-        Err(e @ AgingError::ResumeDivergence { .. }) => fail(&format!(
-            "{e}; the checkpoint was produced by a different build or configuration — \
+        Err(e @ AgingError::ResumeDivergence { .. }) => fail(
+            TAG,
+            &format!(
+                "{e}; the checkpoint was produced by a different build or configuration — \
              delete it or drop --resume"
-        )),
-        Err(e) => fail(&format!("campaign failed: {e}")),
+            ),
+        ),
+        Err(e) => fail(TAG, &format!("campaign failed: {e}")),
     };
     eprintln!(
         "[aging] {}/{} epochs in {:.1}s",

@@ -19,51 +19,30 @@
 //!     [--cycle-budget C] [--stall-window C] [--json PATH]
 //! ```
 //!
+//! With `--checkpoint-dir`, every finished cell is journalled, `--resume`
+//! picks a previous sweep back up, and creating `<checkpoint-dir>/STOP`
+//! stops the sweep between cells (exit 1, `INTERRUPTED`).
+//!
 //! `--smoke` runs the CI gate instead of the sweep: a 4×4 mesh, one cell
 //! per attacker model at a central router, asserting an accepted matrix.
 //!
 //! Mesh shape mirrors the recovery campaign (one message class, sibling
 //! VCs) so containment always leaves a lane for retransmissions.
 
-use fault::Watchdog;
 use golden::{
     standard_cells, AttackCampaign, AttackCampaignConfig, AttackCell, AttackCellReport,
-    AttackClass, AttackHarness, RecoveryHarness, RecoveryOptions, RecoveryOutcome,
-    ResilienceOptions, SweepReport,
+    AttackClass, RecoveryCampaign, RecoveryCampaignConfig, RecoveryOptions, RecoveryOutcome,
+    SweepReport,
 };
 use noc_types::{AttackKind, NocConfig};
-use nocalert_bench::{maybe_write_json, row, Args};
+use nocalert_bench::{
+    closed_loop_noc, closed_loop_options, fail, maybe_write_json, percentile, resilience_from, row,
+    Args,
+};
 use serde::Serialize;
-use std::path::PathBuf;
 
-fn fail(msg: &str) -> ! {
-    eprintln!("[attack] fatal: {msg}");
-    std::process::exit(2);
-}
-
-fn attack_noc(args: &Args, mesh: u8) -> NocConfig {
-    let mut noc = NocConfig::paper_baseline();
-    let k: u8 = args.get("mesh", mesh);
-    noc.mesh = noc_types::Mesh::new(k, k);
-    noc.vcs_per_port = 2;
-    noc.message_classes = 1;
-    noc.packet_lengths = vec![5];
-    noc.injection_rate = args.get("rate", 0.05);
-    noc.seed = args.get("seed", noc.seed);
-    noc
-}
-
-fn options_from(args: &Args) -> RecoveryOptions {
-    let mut opts = RecoveryOptions::paper_defaults();
-    opts.watchdog = Watchdog {
-        cycle_budget: args.get("cycle-budget", opts.watchdog.cycle_budget),
-        stall_window: args.get("stall-window", opts.watchdog.stall_window),
-    };
-    if let Err(e) = opts.validate() {
-        fail(&format!("invalid options: {e}"));
-    }
-    opts
-}
+/// The binary's tag in fatal diagnostics.
+const TAG: &str = "attack";
 
 fn kind_label(kind: AttackKind) -> &'static str {
     match kind {
@@ -89,16 +68,6 @@ fn kind_intensity(kind: AttackKind) -> u32 {
         AttackKind::AlertSuppress => 0,
         AttackKind::AlertFlood { per_cycle } => per_cycle.into(),
     }
-}
-
-/// `p` in `[0, 100]` over an unsorted sample; 0 for an empty one.
-fn percentile(sample: &mut [u64], p: usize) -> u64 {
-    if sample.is_empty() {
-        return 0;
-    }
-    sample.sort_unstable();
-    let idx = (sample.len() - 1) * p / 100;
-    sample[idx]
 }
 
 /// One row of the printed matrix: an attacker model at one intensity,
@@ -150,22 +119,14 @@ struct Report {
     crashed: u64,
 }
 
-fn campaign_opts(args: &Args) -> ResilienceOptions {
-    ResilienceOptions {
-        checkpoint_dir: args.str("checkpoint-dir").map(PathBuf::from),
-        resume: args.flag("resume"),
-        cancel: None,
-    }
-}
-
 /// No-attack, no-fault rollout under identical options — the overhead
 /// baseline the matrix rows are compared against.
 fn baseline_overhead(noc: &NocConfig, opts: RecoveryOptions) -> f64 {
-    let harness = match RecoveryHarness::try_new(noc.clone(), opts) {
-        Ok(h) => h,
-        Err(e) => fail(&format!("baseline harness rejected config: {e}")),
-    };
-    harness.run(None).overhead_per_message()
+    let noc = noc.clone();
+    match RecoveryCampaign::try_new(RecoveryCampaignConfig { noc, opts }) {
+        Ok(c) => c.run(None).overhead_per_message(),
+        Err(e) => fail(TAG, &format!("baseline campaign rejected config: {e}")),
+    }
 }
 
 fn print_report(
@@ -227,8 +188,8 @@ fn aggregate(report: &SweepReport<AttackCellReport>) -> Vec<(String, u32, Matrix
 }
 
 fn sweep(args: &Args) -> i32 {
-    let noc = attack_noc(args, 8);
-    let opts = options_from(args);
+    let noc = closed_loop_noc(args, 8);
+    let opts = closed_loop_options(args, TAG);
     let threads: usize = args.get(
         "threads",
         std::thread::available_parallelism()
@@ -279,12 +240,12 @@ fn sweep(args: &Args) -> i32 {
     };
     let campaign = match AttackCampaign::try_new(cc) {
         Ok(c) => c,
-        Err(e) => fail(&format!("campaign rejected config: {e}")),
+        Err(e) => fail(TAG, &format!("campaign rejected config: {e}")),
     };
     let t0 = std::time::Instant::now();
-    let report = match campaign.run_cells(&cells, threads, &campaign_opts(args)) {
+    let report = match campaign.run_cells(&cells, threads, &resilience_from(args)) {
         Ok(r) => r,
-        Err(e) => fail(&format!("campaign failed: {e}")),
+        Err(e) => fail(TAG, &format!("campaign failed: {e}")),
     };
     eprintln!(
         "[attack] {} rollouts in {:.1}s on {threads} threads",
@@ -331,12 +292,16 @@ fn sweep(args: &Args) -> i32 {
 /// The CI gate: a 4×4 mesh, one cell per attacker model at a central
 /// router, an accepted matrix or a non-zero exit.
 fn smoke(args: &Args) -> i32 {
-    let noc = attack_noc(args, 4);
-    let opts = options_from(args);
+    let noc = closed_loop_noc(args, 4);
+    let opts = closed_loop_options(args, TAG);
     let start = opts.warmup + 500;
-    let harness = match AttackHarness::try_new(noc.clone(), opts) {
-        Ok(h) => h,
-        Err(e) => fail(&format!("harness rejected config: {e}")),
+    let cc = AttackCampaignConfig {
+        noc: noc.clone(),
+        opts,
+    };
+    let campaign = match AttackCampaign::try_new(cc) {
+        Ok(c) => c,
+        Err(e) => fail(TAG, &format!("campaign rejected config: {e}")),
     };
     // Centre-of-mesh attacker sees the densest traffic mix, at full rate
     // (every=1): forged controls are injected downstream of the attacker's
@@ -350,9 +315,9 @@ fn smoke(args: &Args) -> i32 {
     );
     let mut failures = 0;
     for cell in &cells {
-        let run = match harness.run_isolated(&cell.spec, cell.fault.as_ref()) {
+        let run = match campaign.run_isolated(&cell.spec, cell.fault.as_ref()) {
             Ok(r) => r,
-            Err(e) => fail(&format!("cell rejected: {e}")),
+            Err(e) => fail(TAG, &format!("cell rejected: {e}")),
         };
         let ok = run.class != AttackClass::UndetectedLoss
             && !matches!(run.outcome, RecoveryOutcome::Crashed(_));

@@ -30,7 +30,9 @@
 //! sharded engine `nocalertd` jobs run through — so `--checkpoint-dir`
 //! gives it kill-safe incremental progress and `--resume` picks a
 //! previous sweep back up, with aggregates bit-identical to an
-//! uninterrupted run at any `--threads` value.
+//! uninterrupted run at any `--threads` value. Creating
+//! `<checkpoint-dir>/STOP` stops the sweep between rollouts (exit 1,
+//! `INTERRUPTED`).
 //!
 //! `--smoke` runs the CI gate instead of the sweep: a 4×4 mesh, one fault
 //! of each class at fixed covered sites, asserting 100% delivery.
@@ -40,15 +42,19 @@
 //! always leave a sibling VC for the traffic the faulty one carried, and
 //! with per-class singleton pools a single disable starves the class.
 
-use fault::{FaultSpec, Watchdog};
+use fault::FaultSpec;
 use golden::{
-    containment_covered, DeliveryVerdict, RecoveryCampaign, RecoveryCampaignConfig,
-    RecoveryHarness, RecoveryOptions, RecoveryRun, ResilienceOptions,
+    containment_covered, DeliveryVerdict, RecoveryCampaign, RecoveryCampaignConfig, RecoveryRun,
 };
-use noc_types::{NocConfig, SiteRef};
-use nocalert_bench::{maybe_write_json, row, Args};
+use noc_types::SiteRef;
+use nocalert_bench::{
+    closed_loop_noc, closed_loop_options, fail, maybe_write_json, percentile, resilience_from, row,
+    Args,
+};
 use serde::Serialize;
-use std::path::PathBuf;
+
+/// The binary's tag in fatal diagnostics.
+const TAG: &str = "recovery";
 
 /// The fault classes the campaign sweeps, in report order.
 const CLASSES: [&str; 5] = [
@@ -132,45 +138,6 @@ impl ClassSummary {
     }
 }
 
-/// `p` in `[0, 100]` over an unsorted sample; 0 for an empty one.
-fn percentile(sample: &mut [u64], p: usize) -> u64 {
-    if sample.is_empty() {
-        return 0;
-    }
-    sample.sort_unstable();
-    let idx = (sample.len() - 1) * p / 100;
-    sample[idx]
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("[recovery] fatal: {msg}");
-    std::process::exit(2);
-}
-
-fn recovery_noc(args: &Args, mesh: u8) -> NocConfig {
-    let mut noc = NocConfig::paper_baseline();
-    let k: u8 = args.get("mesh", mesh);
-    noc.mesh = noc_types::Mesh::new(k, k);
-    noc.vcs_per_port = 2;
-    noc.message_classes = 1;
-    noc.packet_lengths = vec![5];
-    noc.injection_rate = args.get("rate", 0.05);
-    noc.seed = args.get("seed", noc.seed);
-    noc
-}
-
-fn options_from(args: &Args) -> RecoveryOptions {
-    let mut opts = RecoveryOptions::paper_defaults();
-    opts.watchdog = Watchdog {
-        cycle_budget: args.get("cycle-budget", opts.watchdog.cycle_budget),
-        stall_window: args.get("stall-window", opts.watchdog.stall_window),
-    };
-    if let Err(e) = opts.validate() {
-        fail(&format!("invalid options: {e}"));
-    }
-    opts
-}
-
 #[derive(Debug, Serialize)]
 struct Report {
     mesh: u8,
@@ -178,11 +145,12 @@ struct Report {
     classes: Vec<(String, ClassSummary)>,
     enforced_violations: u64,
     resumed: usize,
+    interrupted: bool,
 }
 
 fn sweep(args: &Args) -> i32 {
-    let noc = recovery_noc(args, 8);
-    let opts = options_from(args);
+    let noc = closed_loop_noc(args, 8);
+    let opts = closed_loop_options(args, TAG);
     let threads: usize = args.get(
         "threads",
         std::thread::available_parallelism()
@@ -208,7 +176,7 @@ fn sweep(args: &Args) -> i32 {
         opts,
     }) {
         Ok(c) => c,
-        Err(e) => fail(&format!("campaign rejected config: {e}")),
+        Err(e) => fail(TAG, &format!("campaign rejected config: {e}")),
     };
 
     println!(
@@ -228,15 +196,10 @@ fn sweep(args: &Args) -> i32 {
                 .map(move |class| spec_for(class, site, start, period, duty))
         })
         .collect();
-    let copts = ResilienceOptions {
-        checkpoint_dir: args.str("checkpoint-dir").map(PathBuf::from),
-        resume: args.flag("resume"),
-        cancel: None,
-    };
     let t0 = std::time::Instant::now();
-    let report = match campaign.run_specs(&specs, threads, &copts) {
+    let report = match campaign.run_specs(&specs, threads, &resilience_from(args)) {
         Ok(r) => r,
-        Err(e) => fail(&format!("campaign failed: {e}")),
+        Err(e) => fail(TAG, &format!("campaign failed: {e}")),
     };
     eprintln!(
         "[recovery] {} rollouts in {:.1}s on {threads} threads ({} resumed)",
@@ -330,9 +293,14 @@ fn sweep(args: &Args) -> i32 {
         classes,
         enforced_violations,
         resumed: report.resumed,
+        interrupted: report.interrupted,
     };
     maybe_write_json(args, &out);
 
+    if report.interrupted {
+        println!("\nINTERRUPTED: the sweep was cancelled before every rollout ran.");
+        return 1;
+    }
     if enforced_violations == 0 {
         println!("\nACCEPTED: 100% exactly-once delivery under every sustained fault swept.");
         0
@@ -346,12 +314,16 @@ fn sweep(args: &Args) -> i32 {
 /// site, 100% delivery or a non-zero exit.
 fn smoke(args: &Args) -> i32 {
     use noc_types::site::SignalKind;
-    let noc = recovery_noc(args, 4);
-    let opts = options_from(args);
+    let noc = closed_loop_noc(args, 4);
+    let opts = closed_loop_options(args, TAG);
     let start = opts.warmup + 1_000;
-    let harness = match RecoveryHarness::try_new(noc.clone(), opts) {
-        Ok(h) => h,
-        Err(e) => fail(&format!("harness rejected config: {e}")),
+    let cc = RecoveryCampaignConfig {
+        noc: noc.clone(),
+        opts,
+    };
+    let campaign = match RecoveryCampaign::try_new(cc) {
+        Ok(c) => c,
+        Err(e) => fail(TAG, &format!("campaign rejected config: {e}")),
     };
     // One covered site per fault class, spread over distinct checker
     // families. Intermittent deliberately lands on BufEmpty: duty-cycled
@@ -373,10 +345,13 @@ fn smoke(args: &Args) -> i32 {
         // A middle-of-mesh router sees the densest traffic mix.
         let matching: Vec<&SiteRef> = universe.iter().filter(|s| s.signal == signal).collect();
         let Some(&&site) = matching.get(matching.len() / 2) else {
-            fail(&format!("no site with signal {signal:?} in the universe"));
+            fail(
+                TAG,
+                &format!("no site with signal {signal:?} in the universe"),
+            );
         };
         let spec = spec_for(class, site, start, period, duty);
-        let run = harness.run_isolated(Some(&spec));
+        let run = campaign.run_isolated(Some(&spec));
         let ok = run.verdict == DeliveryVerdict::ExactlyOnce;
         row(
             &format!("{class} @ {:?}", site),

@@ -9,7 +9,7 @@
 #![warn(missing_docs)]
 
 use fault::{FaultSpec, Watchdog};
-use golden::{Campaign, CampaignConfig, ResilienceOptions, RunResult};
+use golden::{Campaign, CampaignConfig, RecoveryOptions, ResilienceOptions, RunResult};
 use noc_types::{Cycle, NocConfig};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -82,17 +82,13 @@ pub struct Experiment {
     pub sites: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Checkpoint root (`--checkpoint-dir`); campaigns shard results
-    /// under per-phase subdirectories of it.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Skip sites already completed in the checkpoint (`--resume`).
-    pub resume: bool,
     /// Hang-detection policy: [`Watchdog::default_policy`] with any
     /// `--cycle-budget` / `--stall-window` override applied.
     pub watchdog: Watchdog,
-    /// The cancellation flag every phase shares, raised by the one
-    /// `<checkpoint-dir>/STOP` watcher; `None` without a checkpoint root.
-    cancel: Option<Arc<AtomicBool>>,
+    /// [`resilience_from`] the CLI args: the checkpoint root, whose
+    /// per-phase subdirectories the campaigns shard under, `--resume`,
+    /// and the cancellation flag every phase shares.
+    resilience: ResilienceOptions,
 }
 
 impl Experiment {
@@ -131,15 +127,12 @@ impl Experiment {
             eprintln!("[args] {e}");
             std::process::exit(2);
         }
-        let checkpoint_dir = args.str("checkpoint-dir").map(PathBuf::from);
         Experiment {
             noc,
             sites,
             threads,
-            cancel: checkpoint_dir.as_deref().map(stop_watcher),
-            checkpoint_dir,
-            resume: args.flag("resume"),
             watchdog,
+            resilience: resilience_from(args),
         }
     }
 
@@ -160,9 +153,12 @@ impl Experiment {
     /// flush-and-exit of every phase through one shared flag.
     pub fn resilience(&self, phase: &str) -> ResilienceOptions {
         ResilienceOptions {
-            checkpoint_dir: self.checkpoint_dir.as_ref().map(|d| d.join(phase)),
-            resume: self.resume,
-            cancel: self.cancel.clone(),
+            checkpoint_dir: self
+                .resilience
+                .checkpoint_dir
+                .as_ref()
+                .map(|d| d.join(phase)),
+            ..self.resilience.clone()
         }
     }
 
@@ -250,6 +246,67 @@ impl Experiment {
         );
         (campaign, results)
     }
+}
+
+/// Resilience options of a binary that runs one sweep: `--checkpoint-dir`,
+/// `--resume`, and, with a checkpoint directory, the flag of the one
+/// `<checkpoint-dir>/STOP` watcher.
+pub fn resilience_from(args: &Args) -> ResilienceOptions {
+    let checkpoint_dir = args.str("checkpoint-dir").map(PathBuf::from);
+    ResilienceOptions {
+        cancel: checkpoint_dir.as_deref().map(stop_watcher),
+        checkpoint_dir,
+        resume: args.flag("resume"),
+        ..ResilienceOptions::default()
+    }
+}
+
+/// Prints `[tag] fatal: msg` and exits with status 2.
+pub fn fail(tag: &str, msg: &str) -> ! {
+    eprintln!("[{tag}] fatal: {msg}");
+    std::process::exit(2);
+}
+
+/// The mesh the closed-loop campaigns (`recovery`, `attack`) run on:
+/// the paper baseline with every VC pooled into one message class, so
+/// quarantine always leaves a sibling VC for the traffic the faulty one
+/// carried. `--mesh K` (default `mesh`), `--rate F` (default 0.05) and
+/// `--seed S` override it.
+pub fn closed_loop_noc(args: &Args, mesh: u8) -> NocConfig {
+    let mut noc = NocConfig::paper_baseline();
+    let k: u8 = args.get("mesh", mesh);
+    noc.mesh = noc_types::Mesh::new(k, k);
+    noc.vcs_per_port = 2;
+    noc.message_classes = 1;
+    noc.packet_lengths = vec![5];
+    noc.injection_rate = args.get("rate", 0.05);
+    noc.seed = args.get("seed", noc.seed);
+    noc
+}
+
+/// [`RecoveryOptions::paper_defaults`] with any `--cycle-budget` /
+/// `--stall-window` override applied; invalid options are fatal for
+/// binary `tag`.
+pub fn closed_loop_options(args: &Args, tag: &str) -> RecoveryOptions {
+    let mut opts = RecoveryOptions::paper_defaults();
+    opts.watchdog = Watchdog {
+        cycle_budget: args.get("cycle-budget", opts.watchdog.cycle_budget),
+        stall_window: args.get("stall-window", opts.watchdog.stall_window),
+    };
+    if let Err(e) = opts.validate() {
+        fail(tag, &format!("invalid options: {e}"));
+    }
+    opts
+}
+
+/// `p` in `[0, 100]` over an unsorted sample (sorted in place); 0 for an
+/// empty one.
+pub fn percentile(sample: &mut [u64], p: usize) -> u64 {
+    if sample.is_empty() {
+        return 0;
+    }
+    sample.sort_unstable();
+    sample[(sample.len() - 1) * p / 100]
 }
 
 /// Starts the one thread that polls for `<dir>/STOP` and returns the flag
@@ -363,10 +420,8 @@ mod tests {
             noc: NocConfig::small_test(),
             sites: 50,
             threads: 1,
-            checkpoint_dir: None,
-            resume: false,
             watchdog: Watchdog::default_policy(),
-            cancel: None,
+            resilience: ResilienceOptions::default(),
         };
         assert_eq!(e.site_list().len(), 50);
         let full = Experiment {

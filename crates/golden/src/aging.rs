@@ -69,6 +69,7 @@ use noc_types::{
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 /// Everything configurable about one aging campaign.
@@ -497,7 +498,9 @@ impl AgingHarness {
     /// `prior` is the checkpointed prefix, in epoch order; the harness
     /// re-simulates it and asserts each recomputed row equals the stored
     /// one, then continues. `on_epoch` fires for every *fresh* row as
-    /// soon as it settles (the checkpoint append hook).
+    /// soon as it settles (the checkpoint append hook); returning
+    /// [`ControlFlow::Break`] stops the run after that epoch, so the
+    /// report holds the rows settled so far.
     ///
     /// # Errors
     ///
@@ -506,7 +509,7 @@ impl AgingHarness {
     pub fn run(
         &self,
         prior: &[EpochReport],
-        mut on_epoch: impl FnMut(&EpochReport),
+        mut on_epoch: impl FnMut(&EpochReport) -> ControlFlow<()>,
     ) -> Result<AgingReport, AgingError> {
         let opts = &self.opts;
         let plan = self.plan();
@@ -517,16 +520,16 @@ impl AgingHarness {
         let mut epochs: Vec<EpochReport> = Vec::with_capacity(plan.len());
         for (i, fault) in plan.into_iter().enumerate() {
             let report = self.run_epoch(i as u32, fault, &mut lp, &mut cursor);
-            if let Some(stored) = prior.get(i) {
-                if *stored != report {
+            let stop = match prior.get(i) {
+                Some(stored) if *stored != report => {
                     return Err(AgingError::ResumeDivergence { epoch: i as u32 });
                 }
-            } else {
-                on_epoch(&report);
-            }
-            let terminal = matches!(report.outcome, AgingOutcome::Partitioned { .. });
+                Some(_) => false,
+                None => on_epoch(&report).is_break(),
+            };
+            let last = stop || matches!(report.outcome, AgingOutcome::Partitioned { .. });
             epochs.push(report);
-            if terminal {
+            if last {
                 break;
             }
         }
@@ -755,7 +758,10 @@ mod tests {
         let h = smoke_harness();
         let mut streamed = Vec::new();
         let report = h
-            .run(&[], |e| streamed.push(e.clone()))
+            .run(&[], |e| {
+                streamed.push(e.clone());
+                ControlFlow::Continue(())
+            })
             .expect("campaign runs");
         assert_eq!(streamed.len(), report.epochs.len());
         // The cut phase must end the campaign in an honest partition.
@@ -785,12 +791,15 @@ mod tests {
     #[test]
     fn resume_reproduces_the_prefix_bit_identically() {
         let h = smoke_harness();
-        let full = h.run(&[], |_| {}).expect("full run");
+        let full = h.run(&[], |_| ControlFlow::Continue(())).expect("full run");
         assert!(full.epochs.len() >= 3);
         let split = full.epochs.len() / 2;
         let mut fresh = Vec::new();
         let resumed = h
-            .run(&full.epochs[..split], |e| fresh.push(e.clone()))
+            .run(&full.epochs[..split], |e| {
+                fresh.push(e.clone());
+                ControlFlow::Continue(())
+            })
             .expect("resume runs");
         assert_eq!(resumed, full, "resume must reproduce the full campaign");
         assert_eq!(fresh.len(), full.epochs.len() - split);
@@ -804,10 +813,10 @@ mod tests {
     #[test]
     fn resume_divergence_is_an_error_not_a_fork() {
         let h = smoke_harness();
-        let full = h.run(&[], |_| {}).expect("full run");
+        let full = h.run(&[], |_| ControlFlow::Continue(())).expect("full run");
         let mut forged = full.epochs.clone();
         forged[0].delivered += 1;
-        let err = h.run(&forged, |_| {}).unwrap_err();
+        let err = h.run(&forged, |_| ControlFlow::Continue(())).unwrap_err();
         assert!(matches!(err, AgingError::ResumeDivergence { epoch: 0 }));
     }
 }

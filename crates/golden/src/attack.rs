@@ -223,13 +223,6 @@ impl AttackRun {
     }
 }
 
-/// The adversarial closed-loop harness: one instance, many rollouts.
-#[derive(Debug, Clone)]
-pub struct AttackHarness {
-    cfg: NocConfig,
-    opts: RecoveryOptions,
-}
-
 /// The attacker's per-cycle hook on the closed loop, plus the
 /// per-rollout accounting it keeps.
 struct AttackHook<'a> {
@@ -241,105 +234,6 @@ struct AttackHook<'a> {
     performed: u64,
     skipped: u64,
     first_evidence: Option<Cycle>,
-}
-
-impl AttackHarness {
-    /// Builds a harness after validating `opts`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RecoveryOptions::validate`] failures.
-    pub fn try_new(cfg: NocConfig, opts: RecoveryOptions) -> Result<AttackHarness, SimError> {
-        opts.validate()?;
-        Ok(AttackHarness { cfg, opts })
-    }
-
-    /// The cycle at which the measurement window ends and draining begins.
-    pub fn active_end(&self) -> Cycle {
-        self.opts.warmup.saturating_add(self.opts.active_window)
-    }
-
-    /// One adversarial rollout: arm the attacker (and the optional
-    /// co-located fault), close the detection→containment→ARQ loop,
-    /// execute the attacker's out-of-band intents, and classify the cell.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError`] when the attack spec or co-fault is rejected by
-    /// validation (nonexistent router, quarantined site, degenerate
-    /// parameters) — a rejected cell is an error, not a matrix entry.
-    pub fn run(&self, spec: &AttackSpec, fault: Option<&FaultSpec>) -> Result<AttackRun, SimError> {
-        let mut lp = ClosedLoop::new(&self.cfg, self.opts.policy, self.opts.arq);
-        if let Some(f) = fault {
-            f.validate_in(&lp.net)?;
-            lp.net.arm_fault(f.site, f.kind, f.start);
-        }
-        lp.net.arm_attack(spec)?;
-        let mut hook = AttackHook {
-            cfg: &self.cfg,
-            spec,
-            bank_alerts: 0,
-            suppressed: 0,
-            suspicions: 0,
-            performed: 0,
-            skipped: 0,
-            first_evidence: None,
-        };
-        let outcome = lp.rollout(self.active_end(), self.opts.watchdog, &mut hook);
-
-        let verdict = verify_delivery(&lp.transport);
-        let attack = lp.net.attack_stats();
-        let tstats = lp.transport.stats();
-        let recovery = lp.net.recovery_stats();
-        let interference = effective_interference(&attack, hook.performed, hook.suppressed);
-        let evidence = hook.bank_alerts + hook.suspicions + recovery.routers_marked_malicious;
-        let mitigation = tstats.retransmits
-            + tstats.duplicates_suppressed
-            + tstats.misrouted_flits
-            + tstats.stray_flits
-            + tstats.corrupted_arrivals
-            + tstats.stale_controls
-            + tstats.forged_controls_ignored
-            + recovery.alerts_consumed
-            + recovery.squashes
-            + recovery.resets
-            + recovery.disables;
-        let class = classify(interference, &outcome, verdict, evidence, mitigation);
-        Ok(AttackRun {
-            spec: *spec,
-            fault: fault.copied(),
-            class,
-            outcome,
-            verdict,
-            attack,
-            transport: tstats,
-            recovery,
-            bank_alerts: hook.bank_alerts,
-            suppressed_alerts: hook.suppressed,
-            suspicions: hook.suspicions,
-            intents_performed: hook.performed,
-            intents_skipped: hook.skipped,
-            first_evidence_at: hook.first_evidence,
-            end_cycle: lp.net.cycle(),
-        })
-    }
-
-    /// [`AttackHarness::run`] behind the campaign panic-isolation
-    /// boundary: a panicking rollout becomes an [`AttackRun::crashed`]
-    /// report.
-    ///
-    /// # Errors
-    ///
-    /// Validation failures propagate exactly as from
-    /// [`AttackHarness::run`]; only panics are converted to reports.
-    pub fn run_isolated(
-        &self,
-        spec: &AttackSpec,
-        fault: Option<&FaultSpec>,
-    ) -> Result<AttackRun, SimError> {
-        catch_payload(|| self.run(spec, fault))
-            .unwrap_or_else(|panic| Ok(AttackRun::crashed(*spec, fault.copied(), panic)))
-    }
 }
 
 /// One cycle of the adversarial closed loop, beyond the plain loop's
@@ -566,14 +460,14 @@ impl SweepReport<AttackCellReport> {
     }
 }
 
-/// The attack matrix sweep: every cell rolled out behind the
-/// panic-isolation boundary through the shared checkpointed sweep driver
-/// (journal, resume, cancellation, round-robin workers), so the
-/// aggregate is bit-identical for any worker count.
+/// The attack campaign: one adversarial rollout per matrix cell, and the
+/// sweep of a work-list of cells behind the panic-isolation boundary
+/// through the shared checkpointed sweep driver (journal, resume,
+/// cancellation, round-robin workers), so the aggregate is bit-identical
+/// for any worker count.
 #[derive(Debug, Clone)]
 pub struct AttackCampaign {
     cc: AttackCampaignConfig,
-    harness: AttackHarness,
 }
 
 impl AttackCampaign {
@@ -583,9 +477,99 @@ impl AttackCampaign {
     ///
     /// Propagates [`RecoveryOptions::validate`] failures.
     pub fn try_new(cc: AttackCampaignConfig) -> Result<AttackCampaign, CampaignError> {
-        let harness =
-            AttackHarness::try_new(cc.noc.clone(), cc.opts).map_err(CampaignError::Substrate)?;
-        Ok(AttackCampaign { cc, harness })
+        cc.opts.validate().map_err(CampaignError::Substrate)?;
+        Ok(AttackCampaign { cc })
+    }
+
+    /// The cycle at which the measurement window ends and draining begins.
+    pub fn active_end(&self) -> Cycle {
+        self.cc
+            .opts
+            .warmup
+            .saturating_add(self.cc.opts.active_window)
+    }
+
+    /// One adversarial rollout: arm the attacker (and the optional
+    /// co-located fault), close the detection→containment→ARQ loop,
+    /// execute the attacker's out-of-band intents, and classify the cell.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError`] when the attack spec or co-fault is rejected by
+    /// validation (nonexistent router, quarantined site, degenerate
+    /// parameters) — a rejected cell is an error, not a matrix entry.
+    pub fn run(&self, spec: &AttackSpec, fault: Option<&FaultSpec>) -> Result<AttackRun, SimError> {
+        let AttackCampaignConfig { noc, opts } = &self.cc;
+        let mut lp = ClosedLoop::new(noc, opts.policy, opts.arq);
+        if let Some(f) = fault {
+            f.validate_in(&lp.net)?;
+            lp.net.arm_fault(f.site, f.kind, f.start);
+        }
+        lp.net.arm_attack(spec)?;
+        let mut hook = AttackHook {
+            cfg: noc,
+            spec,
+            bank_alerts: 0,
+            suppressed: 0,
+            suspicions: 0,
+            performed: 0,
+            skipped: 0,
+            first_evidence: None,
+        };
+        let outcome = lp.rollout(self.active_end(), opts.watchdog, &mut hook);
+
+        let verdict = verify_delivery(&lp.transport);
+        let attack = lp.net.attack_stats();
+        let tstats = lp.transport.stats();
+        let recovery = lp.net.recovery_stats();
+        let interference = effective_interference(&attack, hook.performed, hook.suppressed);
+        let evidence = hook.bank_alerts + hook.suspicions + recovery.routers_marked_malicious;
+        let mitigation = tstats.retransmits
+            + tstats.duplicates_suppressed
+            + tstats.misrouted_flits
+            + tstats.stray_flits
+            + tstats.corrupted_arrivals
+            + tstats.stale_controls
+            + tstats.forged_controls_ignored
+            + recovery.alerts_consumed
+            + recovery.squashes
+            + recovery.resets
+            + recovery.disables;
+        let class = classify(interference, &outcome, verdict, evidence, mitigation);
+        Ok(AttackRun {
+            spec: *spec,
+            fault: fault.copied(),
+            class,
+            outcome,
+            verdict,
+            attack,
+            transport: tstats,
+            recovery,
+            bank_alerts: hook.bank_alerts,
+            suppressed_alerts: hook.suppressed,
+            suspicions: hook.suspicions,
+            intents_performed: hook.performed,
+            intents_skipped: hook.skipped,
+            first_evidence_at: hook.first_evidence,
+            end_cycle: lp.net.cycle(),
+        })
+    }
+
+    /// [`AttackCampaign::run`] behind the campaign panic-isolation
+    /// boundary: a panicking rollout becomes an [`AttackRun::crashed`]
+    /// report.
+    ///
+    /// # Errors
+    ///
+    /// Validation failures propagate exactly as from
+    /// [`AttackCampaign::run`]; only panics are converted to reports.
+    pub fn run_isolated(
+        &self,
+        spec: &AttackSpec,
+        fault: Option<&FaultSpec>,
+    ) -> Result<AttackRun, SimError> {
+        catch_payload(|| self.run(spec, fault))
+            .unwrap_or_else(|panic| Ok(AttackRun::crashed(*spec, fault.copied(), panic)))
     }
 
     /// Runs every cell, `threads`-wide. One report per input cell, in
@@ -612,7 +596,6 @@ impl AttackCampaign {
             || (),
             |_, cell| {
                 let run = self
-                    .harness
                     .run_isolated(&cell.spec, cell.fault.as_ref())
                     .map_err(CampaignError::Substrate)?;
                 Ok(AttackCellReport { cell, run })
@@ -645,8 +628,12 @@ mod tests {
         }
     }
 
-    fn harness() -> AttackHarness {
-        AttackHarness::try_new(noc(), small_opts()).expect("valid options")
+    fn harness() -> AttackCampaign {
+        AttackCampaign::try_new(AttackCampaignConfig {
+            noc: noc(),
+            opts: small_opts(),
+        })
+        .expect("valid options")
     }
 
     fn spec(kind: AttackKind) -> AttackSpec {
@@ -839,7 +826,7 @@ mod tests {
                 &ResilienceOptions {
                     checkpoint_dir: Some(dir.clone()),
                     resume: true,
-                    cancel: None,
+                    ..ResilienceOptions::default()
                 },
             )
             .expect("resume");
@@ -857,7 +844,7 @@ mod tests {
                 &ResilienceOptions {
                     checkpoint_dir: Some(dir.clone()),
                     resume: true,
-                    cancel: None,
+                    ..ResilienceOptions::default()
                 },
             )
             .unwrap_err();

@@ -15,6 +15,8 @@
 //!   its input index and the worker count;
 //! * **cancellation** — a shared flag makes workers stop between units;
 //!   the partial report says so via [`SweepReport::interrupted`];
+//! * **progress** — an optional sink hears of each unit once its row is
+//!   durable (restored units in one report up front);
 //! * **reassembly** — rows come back in input order, so the report is
 //!   bit-identical for any worker count and any resume history.
 
@@ -26,9 +28,10 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-/// Durability and cancellation policy of a sweep.
+/// Durability, cancellation and progress policy of a sweep.
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceOptions {
     /// Directory for the JSONL journal; `None` runs memory-only.
@@ -40,6 +43,11 @@ pub struct ResilienceOptions {
     /// handler or another thread) and workers finish their current unit,
     /// flush, and exit. The report's `interrupted` flag is set.
     pub cancel: Option<Arc<AtomicBool>>,
+    /// Progress observer: receives the number of units that just became
+    /// done — the restored count once before any unit runs (when
+    /// nonzero), then `1` per unit after its row is appended and flushed.
+    /// No row, report or journal depends on it.
+    pub progress: Option<Sender<usize>>,
 }
 
 impl ResilienceOptions {
@@ -47,6 +55,14 @@ impl ResilienceOptions {
         self.cancel
             .as_ref()
             .is_some_and(|c| c.load(Ordering::SeqCst))
+    }
+
+    /// Tells the progress observer, if any, that `units` more are done.
+    /// A hung-up observer is not the sweep's concern.
+    fn report(&self, units: usize) {
+        if let Some(tx) = &self.progress {
+            let _ = tx.send(units);
+        }
     }
 }
 
@@ -109,6 +125,9 @@ where
         .copied()
         .filter(|u| !done.contains_key(u))
         .collect();
+    if resumed > 0 {
+        opts.report(resumed);
+    }
 
     let workers = if threads <= 1 || todo.len() < 2 {
         1
@@ -130,6 +149,7 @@ where
             if let Some(wr) = &mut writer {
                 wr.append(&row)?;
             }
+            opts.report(1);
             out.push(row);
         }
         Ok::<_, CampaignError>(out)

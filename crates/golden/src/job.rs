@@ -1,22 +1,22 @@
 //! Job driver: executes a serialized [`JobSpec`] against the campaign
 //! engines on behalf of the `nocalertd` service (DESIGN.md §15).
 //!
-//! The driver is the single shared runner behind both the service and
-//! the `bench` binaries: it translates a wire-level spec into the same
-//! engine calls a direct binary would make — [`Campaign`] for transient
-//! sweeps, [`RecoveryCampaign`] for containment sweeps,
-//! [`AttackCampaign`] for the compromised-router matrix, and
-//! [`AgingHarness`] for accumulating-fault epochs — so a job's
-//! aggregates are bit-identical to a direct run of the same spec at any
-//! worker count, including across kill/resume cycles.
+//! The driver translates a wire-level spec into the engine calls a
+//! direct run would make — [`Campaign`] for transient sweeps,
+//! [`RecoveryCampaign`] for containment sweeps, [`AttackCampaign`] for
+//! the compromised-router matrix, and [`AgingHarness`] for
+//! accumulating-fault epochs — so a job's aggregates are bit-identical
+//! to an in-process [`JobDriver::run`] of the same spec at any worker
+//! count, including across kill/resume cycles.
 //!
 //! Three service concerns layer on top of the raw engines:
 //!
-//! * **Chunked driving.** Sweep kinds run their work-list in chunks of
-//!   a few units per worker, emitting a [`JobEvent::Progress`] after
-//!   each chunk and honouring cooperative cancellation between chunks.
-//!   Chunking never changes results: the engines key completed work by
-//!   spec, so re-aggregation in input order is chunk-oblivious.
+//! * **One sweep per job.** Each transient, recovery and attack job is
+//!   one sweep over its whole work-list, so a durable job reads its
+//!   journal once. The sweep runs on a scoped thread and reports each
+//!   unit once its row is durable; the calling thread relays every
+//!   report as a [`JobEvent::Progress`]. Cancellation is the sweep's own
+//!   check between units; aging stops between epochs.
 //! * **Golden-reference caching.** [`GoldenCache`] memoises warmed
 //!   [`Campaign`]s by configuration so concurrent/sequential transient
 //!   jobs with the same configuration share one golden trajectory
@@ -31,6 +31,7 @@ use crate::aging::{AgingError, AgingHarness, AgingOptions, EpochReport};
 use crate::attack::{
     standard_cells, AttackCampaign, AttackCampaignConfig, AttackCellReport, AttackClass,
 };
+use crate::campaign::resilience::panic_detail;
 use crate::campaign::{
     Campaign, CampaignConfig, CampaignError, ResilienceOptions, RunOutcome, SiteReport, SweepReport,
 };
@@ -45,8 +46,9 @@ use noc_types::{
 };
 use serde::Serialize;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Serializes any compat-serde value to its canonical JSON string.
@@ -64,8 +66,8 @@ fn json_of<T: Serialize>(v: &T) -> String {
 /// one JSON line per row, in order. Hex-encoded.
 ///
 /// This is the service's bit-identity comparator: two runs of the same
-/// spec — at different worker counts, through different chunk schedules,
-/// or across a kill/resume cycle — must produce the same digest.
+/// spec — at different worker counts or across a kill/resume cycle —
+/// must produce the same digest.
 pub fn digest_rows<T: Serialize>(rows: &[T]) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for row in rows {
@@ -153,8 +155,8 @@ pub struct JobDriver {
     /// of refusing it. The service sets this when re-enqueueing
     /// incomplete jobs after a restart.
     pub resume: bool,
-    /// Cooperative cancellation flag, checked between chunks (and
-    /// between units inside the engines).
+    /// Cooperative cancellation flag, checked between units (between
+    /// epochs for aging).
     pub cancel: Option<Arc<AtomicBool>>,
     /// Shared golden-reference cache for transient jobs.
     pub cache: Arc<GoldenCache>,
@@ -184,13 +186,6 @@ impl JobDriver {
         }
     }
 
-    /// Units per progress chunk: a few work items per worker, so the
-    /// feed updates at a human cadence without reloading the journal
-    /// per unit.
-    fn chunk_size(spec: &JobSpec) -> usize {
-        (spec.threads as usize).saturating_mul(4).max(1)
-    }
-
     /// The injection instant shared by the recovery and attack sweeps:
     /// a quarter into the active window, so containment has the rest of
     /// the window plus the drain to act.
@@ -208,49 +203,39 @@ impl JobDriver {
         }
     }
 
-    /// Drives `units` through `run` in chunks of [`Self::chunk_size`],
-    /// emitting a [`JobEvent::Progress`] after each chunk and honouring
-    /// cancellation between chunks. The sweep engines key completed work
-    /// by unit, so the concatenated rows are chunk-oblivious.
-    fn run_chunked<K, R>(
+    /// Runs `sweep` — one campaign call over a whole work-list of
+    /// `total` units — on a scoped thread whose options carry a progress
+    /// sender, and relays each report as a [`JobEvent::Progress`] on the
+    /// calling thread. A panic that escapes the engines' own isolation
+    /// comes back as [`CampaignError::WorkerLost`].
+    fn relay<R: Send>(
         &self,
-        spec: &JobSpec,
-        units: &[K],
-        run: impl Fn(&[K], &ResilienceOptions) -> Result<SweepReport<R>, CampaignError>,
+        total: usize,
+        sweep: impl FnOnce(&ResilienceOptions) -> Result<SweepReport<R>, CampaignError> + Send,
         on_event: &mut dyn FnMut(JobEvent),
     ) -> Result<SweepReport<R>, CampaignError> {
-        let mut all = SweepReport {
-            reports: Vec::with_capacity(units.len()),
-            resumed: 0,
-            corrupt_lines: 0,
-            interrupted: false,
+        let (tx, rx) = std::sync::mpsc::channel();
+        let opts = ResilienceOptions {
+            checkpoint_dir: self.checkpoint_dir.clone(),
+            resume: self.resume,
+            cancel: self.cancel.clone(),
+            progress: Some(tx),
         };
-        for (ix, chunk) in units.chunks(Self::chunk_size(spec)).enumerate() {
-            let opts = ResilienceOptions {
-                checkpoint_dir: self.checkpoint_dir.clone(),
-                // Chunks after the first land in a directory the first
-                // chunk populated; that is resumption by construction.
-                resume: self.resume || ix > 0,
-                cancel: self.cancel.clone(),
-            };
-            if opts.cancelled() {
-                all.interrupted = true;
-                break;
+        std::thread::scope(|scope| {
+            // The thread owns the only sender, so the relay ends with it.
+            let run = scope.spawn(move || sweep(&opts));
+            let mut done = 0;
+            for units in rx {
+                done += units;
+                on_event(JobEvent::Progress {
+                    done: done as u32,
+                    total: total as u32,
+                });
             }
-            let part = run(chunk, &opts)?;
-            all.resumed += part.resumed;
-            all.corrupt_lines += part.corrupt_lines;
-            all.interrupted |= part.interrupted;
-            all.reports.extend(part.reports);
-            on_event(JobEvent::Progress {
-                done: all.reports.len() as u32,
-                total: units.len() as u32,
-            });
-            if all.interrupted {
-                break;
-            }
-        }
-        Ok(all)
+            run.join().map_err(|p| CampaignError::WorkerLost {
+                detail: panic_detail(p),
+            })?
+        })
     }
 
     fn run_transient(
@@ -270,13 +255,10 @@ impl JobDriver {
             .iter()
             .map(|&s| FaultSpec::transient(s, campaign.injection_cycle()))
             .collect();
-        let done = self.run_chunked(
-            spec,
-            &specs,
-            |chunk, opts| {
-                let threads = spec.threads as usize;
-                campaign.run_many_resilient(chunk, threads, Watchdog::default_policy(), opts)
-            },
+        let threads = spec.threads as usize;
+        let done = self.relay(
+            specs.len(),
+            |opts| campaign.run_many_resilient(&specs, threads, Watchdog::default_policy(), opts),
             on_event,
         )?;
         let detected = done
@@ -312,10 +294,9 @@ impl JobDriver {
         if let Some(limit) = spec.limit {
             specs.truncate(limit as usize);
         }
-        let done = self.run_chunked(
-            spec,
-            &specs,
-            |chunk, opts| campaign.run_specs(chunk, spec.threads as usize, opts),
+        let done = self.relay(
+            specs.len(),
+            |opts| campaign.run_specs(&specs, spec.threads as usize, opts),
             on_event,
         )?;
         let summary = format!(
@@ -351,10 +332,9 @@ impl JobDriver {
         if let Some(limit) = spec.limit {
             cells.truncate(limit as usize);
         }
-        let done = self.run_chunked(
-            spec,
-            &cells,
-            |chunk, opts| campaign.run_cells(chunk, spec.threads as usize, opts),
+        let done = self.relay(
+            cells.len(),
+            |opts| campaign.run_cells(&cells, spec.threads as usize, opts),
             on_event,
         )?;
         let summary = attack_summary(&done, cells.len());
@@ -398,21 +378,31 @@ impl JobDriver {
         let resumed = prior.len();
 
         // The harness runs one continuous simulation, so progress and
-        // checkpoint rows are emitted from inside its epoch callback;
-        // an append failure is captured and re-raised after the run
-        // (the harness itself cannot fail mid-epoch on our account).
+        // checkpoint rows are emitted from inside its epoch callback,
+        // which also stops the run between epochs on cancellation or on
+        // an append failure (re-raised after the run).
         let mut log_err: Option<CampaignError> = None;
         let report = harness
             .run(&prior, |row| {
-                if let (Some(log), None) = (log.as_mut(), log_err.as_ref()) {
+                if let Some(log) = log.as_mut() {
                     if let Err(e) = log.append(row) {
                         log_err = Some(e);
+                        return ControlFlow::Break(());
                     }
                 }
                 on_event(JobEvent::Progress {
                     done: row.epoch + 1,
                     total: total.max(row.epoch + 1),
                 });
+                let cancelled = self
+                    .cancel
+                    .as_ref()
+                    .is_some_and(|c| c.load(Ordering::SeqCst));
+                if cancelled {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
             })
             .map_err(aging_err)?;
         if let Some(e) = log_err {
@@ -427,11 +417,13 @@ impl JobDriver {
             report.partition().is_some(),
             resumed
         );
+        // A finished run ends in a partition or with the plan exhausted.
+        let interrupted = report.partition().is_none() && report.epochs.len() < total as usize;
         let done = SweepReport {
             reports: report.epochs,
             resumed,
             corrupt_lines: 0,
-            interrupted: false,
+            interrupted,
         };
         Ok(job_result(&done, aging_incident, summary, on_event))
     }
@@ -628,6 +620,7 @@ fn aging_incident(id: u32, e: &EpochReport) -> Incident {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Journal;
     use noc_types::NocConfig;
 
     fn small_noc() -> NocConfig {
@@ -649,6 +642,28 @@ mod tests {
             limit: Some(limit),
             threads,
         }
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "nocalert-job-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The `done` counts of every progress event, in order.
+    fn progress_of(events: &[JobEvent]) -> Vec<u32> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                JobEvent::Progress { done, .. } => Some(*done),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -759,6 +774,129 @@ mod tests {
         assert_eq!(resumed.incidents, first.incidents);
         assert_eq!(resumed.resumed, 4);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One sweep per job: every unit is reported once, after its row is
+    /// in the journal, and the count ends at the total.
+    #[test]
+    fn durable_transient_job_reports_each_unit_after_its_row_is_journalled() {
+        let dir = scratch("progress");
+        let job = spec(JobKind::Transient, 6, 2);
+        let mut cc = CampaignConfig::paper_defaults(job.noc.clone(), job.warmup);
+        cc.active_window = job.window;
+        let mut done = Vec::new();
+        let result = JobDriver {
+            checkpoint_dir: Some(dir.clone()),
+            ..JobDriver::default()
+        }
+        .run(&job, &mut |e| {
+            if let JobEvent::Progress { done: d, total } = e {
+                assert_eq!(total, 6);
+                let journal = Journal::<CampaignConfig, SiteReport>::open(&dir, &cc).unwrap();
+                let (rows, _) = journal.load(true).unwrap();
+                assert!(
+                    rows.len() >= d as usize,
+                    "{} rows at done = {d}",
+                    rows.len()
+                );
+                done.push(d);
+            }
+        })
+        .unwrap();
+        assert_eq!(done, (1..=6).collect::<Vec<u32>>());
+        assert!(!result.interrupted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cancel raised from the event sink stops the sweep between units;
+    /// the resumed job first reports what it restored and ends with the
+    /// uninterrupted digest.
+    #[test]
+    fn cancelled_transient_job_resumes_to_the_uninterrupted_digest() {
+        let dir = scratch("transient-cancel");
+        // Enough units that the sink's cancel lands long before the last one.
+        let job = spec(JobKind::Transient, 48, 1);
+        let cache = Arc::new(GoldenCache::new());
+        let full = JobDriver {
+            cache: Arc::clone(&cache),
+            ..JobDriver::default()
+        }
+        .run(&job, &mut |_| {})
+        .unwrap();
+
+        let cancel = Arc::new(AtomicBool::new(false));
+        let stopped = JobDriver {
+            checkpoint_dir: Some(dir.clone()),
+            cancel: Some(Arc::clone(&cancel)),
+            cache: Arc::clone(&cache),
+            ..JobDriver::default()
+        }
+        .run(&job, &mut |e| {
+            if let JobEvent::Progress { .. } = e {
+                cancel.store(true, Ordering::SeqCst);
+            }
+        })
+        .unwrap();
+        assert!(stopped.interrupted);
+        let ran = stopped.incidents.len() as u32;
+        assert!((1..48).contains(&ran), "{ran} units ran");
+
+        let mut events = Vec::new();
+        let resumed = JobDriver {
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            cache,
+            ..JobDriver::default()
+        }
+        .run(&job, &mut |e| events.push(e))
+        .unwrap();
+        assert_eq!(resumed.resumed, ran);
+        let done = progress_of(&events);
+        assert_eq!(done.first(), Some(&ran), "restored units come first");
+        assert_eq!(done.len(), 1 + (48 - ran) as usize);
+        assert_eq!(done.last(), Some(&48));
+        assert!(!resumed.interrupted);
+        assert_eq!(resumed.digest, full.digest);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Aging honours cancel between epochs: the cancelled job keeps its
+    /// journalled epoch, and a resume re-verifies it and finishes with the
+    /// uninterrupted digest.
+    #[test]
+    fn cancelled_aging_job_resumes_to_the_uninterrupted_digest() {
+        let dir = scratch("aging-cancel");
+        let job = spec(JobKind::Aging, 2, 1);
+        let full = JobDriver::default().run(&job, &mut |_| {}).unwrap();
+        assert!(!full.interrupted);
+        assert!(full.incidents.len() > 1);
+
+        let cancel = Arc::new(AtomicBool::new(false));
+        let stopped = JobDriver {
+            checkpoint_dir: Some(dir.clone()),
+            cancel: Some(Arc::clone(&cancel)),
+            ..JobDriver::default()
+        }
+        .run(&job, &mut |e| {
+            if let JobEvent::Progress { .. } = e {
+                cancel.store(true, Ordering::SeqCst);
+            }
+        })
+        .unwrap();
+        assert!(stopped.interrupted);
+        assert_eq!(stopped.incidents.len(), 1);
+
+        let resumed = JobDriver {
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            ..JobDriver::default()
+        }
+        .run(&job, &mut |_| {})
+        .unwrap();
+        assert!(!resumed.interrupted);
+        assert_eq!(resumed.resumed, 1);
+        assert_eq!(resumed.digest, full.digest);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -49,8 +49,7 @@ pub use aging::{
 };
 pub use attack::{
     classify as classify_attack, covered_fault_for, effective_interference, standard_cells,
-    AttackCampaign, AttackCampaignConfig, AttackCell, AttackCellReport, AttackClass, AttackHarness,
-    AttackRun,
+    AttackCampaign, AttackCampaignConfig, AttackCell, AttackCellReport, AttackClass, AttackRun,
 };
 pub use campaign::{
     outcome, Campaign, CampaignArena, CampaignConfig, CampaignError, Detector, DetectorOutcome,
@@ -61,6 +60,6 @@ pub use job::{digest_rows, GoldenCache, JobDriver};
 pub use oracle::{classify, GoldenReference, RunLog, Verdict, ViolationKind};
 pub use recovery::{
     containment_covered, standard_recovery_specs, verify_delivery, DeliveryVerdict,
-    RecoveryCampaign, RecoveryCampaignConfig, RecoveryHarness, RecoveryOptions, RecoveryOutcome,
-    RecoveryRun, RecoverySiteReport,
+    RecoveryCampaign, RecoveryCampaignConfig, RecoveryOptions, RecoveryOutcome, RecoveryRun,
+    RecoverySiteReport,
 };

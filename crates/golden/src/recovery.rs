@@ -106,7 +106,7 @@ pub enum RecoveryOutcome {
         /// Live components remaining.
         components: u32,
     },
-    /// The rollout panicked (only produced by [`RecoveryHarness::run_isolated`]).
+    /// The rollout panicked (only produced by [`RecoveryCampaign::run_isolated`]).
     Crashed(String),
 }
 
@@ -267,82 +267,6 @@ pub fn containment_covered(signal: noc_types::site::SignalKind) -> bool {
     noc_types::site::containment_covered(signal)
 }
 
-/// The closed-loop harness: one instance, many rollouts.
-#[derive(Debug, Clone)]
-pub struct RecoveryHarness {
-    cfg: NocConfig,
-    opts: RecoveryOptions,
-}
-
-impl RecoveryHarness {
-    /// Builds a harness after validating `opts`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RecoveryOptions::validate`] failures.
-    pub fn try_new(cfg: NocConfig, opts: RecoveryOptions) -> Result<RecoveryHarness, SimError> {
-        opts.validate()?;
-        Ok(RecoveryHarness { cfg, opts })
-    }
-
-    /// The cycle at which the measurement window ends and draining begins.
-    pub fn active_end(&self) -> Cycle {
-        self.opts.warmup.saturating_add(self.opts.active_window)
-    }
-
-    /// One closed-loop rollout: inject `spec` (or nothing, for the
-    /// baseline), feed every alert to containment, retransmit end to end,
-    /// and drain until the transport is quiescent or a watchdog trips.
-    pub fn run(&self, spec: Option<&FaultSpec>) -> RecoveryRun {
-        self.run_prepared(spec, |_| {})
-    }
-
-    /// [`RecoveryHarness::run`] with a pre-damaged topology: `prepare`
-    /// runs before the first cycle and may sever links or quarantine
-    /// routers outright — how the partition-classification tests build a
-    /// mesh that is already split when traffic starts.
-    pub fn run_prepared(
-        &self,
-        spec: Option<&FaultSpec>,
-        prepare: impl FnOnce(&mut Network),
-    ) -> RecoveryRun {
-        let mut lp = ClosedLoop::new(&self.cfg, self.opts.policy, self.opts.arq);
-        prepare(&mut lp.net);
-        if let Some(s) = spec {
-            lp.net.arm_fault(s.site, s.kind, s.start);
-        }
-        let outcome = lp.rollout(self.active_end(), self.opts.watchdog, &mut ());
-        let ClosedLoop {
-            net,
-            bank,
-            transport,
-            ..
-        } = &lp;
-        RecoveryRun {
-            spec: spec.copied(),
-            outcome,
-            verdict: verify_delivery(transport),
-            transport: transport.stats(),
-            recovery: net.recovery_stats(),
-            trace: net.recovery_trace().to_vec(),
-            deliveries: transport.records().to_vec(),
-            alerts: bank.assertions().len() as u64,
-            checkers: bank.asserted_set().iter().map(|c| c.0).collect(),
-            first_alert_at: bank.assertions().first().map(|e| e.cycle),
-            fault_hits: net.fault_hits(),
-            end_cycle: net.cycle(),
-        }
-    }
-
-    /// [`RecoveryHarness::run`] behind the campaign panic-isolation
-    /// boundary: a panicking rollout becomes a [`RecoveryRun::crashed`]
-    /// report instead of taking the sweep down.
-    pub fn run_isolated(&self, spec: Option<&FaultSpec>) -> RecoveryRun {
-        catch_payload(|| self.run(spec))
-            .unwrap_or_else(|panic| RecoveryRun::crashed(spec.copied(), panic))
-    }
-}
-
 /// The standard recovery work-list: every containment-covered fault
 /// site crossed with all five fault classes (transient, intermittent,
 /// permanent, stuck-at-0, stuck-at-1), site-major. The five specs of a
@@ -400,14 +324,14 @@ impl SweepReport<RecoverySiteReport> {
     }
 }
 
-/// The recovery sweep: every spec rolled out behind the panic-isolation
-/// boundary through the shared checkpointed sweep driver (journal,
-/// resume, cancellation, round-robin workers), so the aggregate is
-/// bit-identical for any worker count.
+/// The recovery campaign: one closed-loop rollout per fault spec, and
+/// the sweep of a work-list of them behind the panic-isolation boundary
+/// through the shared checkpointed sweep driver (journal, resume,
+/// cancellation, round-robin workers), so the aggregate is bit-identical
+/// for any worker count.
 #[derive(Debug, Clone)]
 pub struct RecoveryCampaign {
     cc: RecoveryCampaignConfig,
-    harness: RecoveryHarness,
 }
 
 impl RecoveryCampaign {
@@ -417,9 +341,69 @@ impl RecoveryCampaign {
     ///
     /// Propagates [`RecoveryOptions::validate`] failures.
     pub fn try_new(cc: RecoveryCampaignConfig) -> Result<RecoveryCampaign, CampaignError> {
-        let harness =
-            RecoveryHarness::try_new(cc.noc.clone(), cc.opts).map_err(CampaignError::Substrate)?;
-        Ok(RecoveryCampaign { cc, harness })
+        cc.opts.validate().map_err(CampaignError::Substrate)?;
+        Ok(RecoveryCampaign { cc })
+    }
+
+    /// The cycle at which the measurement window ends and draining begins.
+    pub fn active_end(&self) -> Cycle {
+        self.cc
+            .opts
+            .warmup
+            .saturating_add(self.cc.opts.active_window)
+    }
+
+    /// One closed-loop rollout: inject `spec` (or nothing, for the
+    /// baseline), feed every alert to containment, retransmit end to end,
+    /// and drain until the transport is quiescent or a watchdog trips.
+    pub fn run(&self, spec: Option<&FaultSpec>) -> RecoveryRun {
+        self.run_prepared(spec, |_| {})
+    }
+
+    /// [`RecoveryCampaign::run`] with a pre-damaged topology: `prepare`
+    /// runs before the first cycle and may sever links or quarantine
+    /// routers outright — how the partition-classification tests build a
+    /// mesh that is already split when traffic starts.
+    pub fn run_prepared(
+        &self,
+        spec: Option<&FaultSpec>,
+        prepare: impl FnOnce(&mut Network),
+    ) -> RecoveryRun {
+        let RecoveryCampaignConfig { noc, opts } = &self.cc;
+        let mut lp = ClosedLoop::new(noc, opts.policy, opts.arq);
+        prepare(&mut lp.net);
+        if let Some(s) = spec {
+            lp.net.arm_fault(s.site, s.kind, s.start);
+        }
+        let outcome = lp.rollout(self.active_end(), opts.watchdog, &mut ());
+        let ClosedLoop {
+            net,
+            bank,
+            transport,
+            ..
+        } = &lp;
+        RecoveryRun {
+            spec: spec.copied(),
+            outcome,
+            verdict: verify_delivery(transport),
+            transport: transport.stats(),
+            recovery: net.recovery_stats(),
+            trace: net.recovery_trace().to_vec(),
+            deliveries: transport.records().to_vec(),
+            alerts: bank.assertions().len() as u64,
+            checkers: bank.asserted_set().iter().map(|c| c.0).collect(),
+            first_alert_at: bank.assertions().first().map(|e| e.cycle),
+            fault_hits: net.fault_hits(),
+            end_cycle: net.cycle(),
+        }
+    }
+
+    /// [`RecoveryCampaign::run`] behind the campaign panic-isolation
+    /// boundary: a panicking rollout becomes a [`RecoveryRun::crashed`]
+    /// report instead of taking the sweep down.
+    pub fn run_isolated(&self, spec: Option<&FaultSpec>) -> RecoveryRun {
+        catch_payload(|| self.run(spec))
+            .unwrap_or_else(|panic| RecoveryRun::crashed(spec.copied(), panic))
     }
 
     /// Runs every spec, `threads`-wide. One report per input spec, in
@@ -446,7 +430,7 @@ impl RecoveryCampaign {
             |_, spec| {
                 Ok(RecoverySiteReport {
                     spec,
-                    run: self.harness.run_isolated(Some(&spec)),
+                    run: self.run_isolated(Some(&spec)),
                 })
             },
         )
@@ -487,7 +471,11 @@ mod tests {
     fn fault_free_baseline_is_exactly_once_with_no_containment() {
         let mut cfg = NocConfig::small_test();
         cfg.injection_rate = 0.05;
-        let h = RecoveryHarness::try_new(cfg, small_opts()).expect("valid options");
+        let h = RecoveryCampaign::try_new(RecoveryCampaignConfig {
+            noc: cfg,
+            opts: small_opts(),
+        })
+        .expect("valid options");
         let run = h.run(None);
         assert_eq!(run.outcome, RecoveryOutcome::Quiescent);
         assert_eq!(run.verdict, DeliveryVerdict::ExactlyOnce);
@@ -536,7 +524,7 @@ mod tests {
                 &ResilienceOptions {
                     checkpoint_dir: Some(dir.clone()),
                     resume: true,
-                    cancel: None,
+                    ..ResilienceOptions::default()
                 },
             )
             .expect("resume");
@@ -558,7 +546,11 @@ mod tests {
         // exercised indirectly by the campaign resilience tests.
         let mut cfg = NocConfig::small_test();
         cfg.injection_rate = 0.02;
-        let h = RecoveryHarness::try_new(cfg, small_opts()).expect("valid options");
+        let h = RecoveryCampaign::try_new(RecoveryCampaignConfig {
+            noc: cfg,
+            opts: small_opts(),
+        })
+        .expect("valid options");
         let run = h.run_isolated(None);
         assert_eq!(run.outcome, RecoveryOutcome::Quiescent);
     }

@@ -14,7 +14,8 @@ use noc_types::site::SignalKind;
 use noc_types::{Coord, Direction, FaultKind, NocConfig, RoutingAlgorithm, SiteRef};
 use nocalert::AlertBank;
 use nocalert_golden::{
-    verify_delivery, DeliveryVerdict, RecoveryHarness, RecoveryOptions, RecoveryOutcome,
+    verify_delivery, DeliveryVerdict, RecoveryCampaign, RecoveryCampaignConfig, RecoveryOptions,
+    RecoveryOutcome,
 };
 
 /// 4×4 fault-region mesh with manual-injection-only traffic.
@@ -182,7 +183,8 @@ fn partitioning_cut_is_reported_partitioned_never_hung() {
         active_window: 1_500,
         ..RecoveryOptions::paper_defaults()
     };
-    let harness = RecoveryHarness::try_new(cfg, opts).expect("valid options");
+    let harness = RecoveryCampaign::try_new(RecoveryCampaignConfig { noc: cfg, opts })
+        .expect("valid options");
     let run = harness.run_prepared(None, |net| {
         // Sever the full column-1 East boundary: a clean 2-way split.
         for y in 0..mesh.height() {

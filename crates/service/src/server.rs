@@ -288,8 +288,8 @@ fn handle_connection(
             with_job(registry, stream, id, |stream, handle| {
                 handle.cancel.store(true, Ordering::Relaxed);
                 // A job still in the queue will observe the terminal
-                // state at dequeue and be skipped; a running job's
-                // driver stops at the next chunk boundary.
+                // state at dequeue and be skipped; a running job stops
+                // after the units (or the epoch) already in flight.
                 if handle.state() == JobState::Queued {
                     handle.set_state(JobState::Cancelled, None);
                 }

@@ -158,10 +158,11 @@ fn submit_kill_restart_resume_matches_direct_run() {
     let mut server = Server::start(&data_dir, "first");
     let id = submit(&server.addr, &recovery_spec(1));
 
-    // Tail the SSE feed until the first progress frame so the kill
-    // lands after at least one checkpointed chunk (and, in the worst
-    // case of a fast job, after completion — resume then restores
-    // everything from shards, which is the same contract).
+    // Tail the SSE feed until the first progress frame: it is sent only
+    // once its unit's row is flushed to a shard, so the kill lands after
+    // at least one checkpointed unit (and, in the worst case of a fast
+    // job, after completion — resume then restores everything from
+    // shards, which is the same contract).
     let addr = server.addr.clone();
     let path = format!("/jobs/{id}/events");
     let mut saw_progress = false;

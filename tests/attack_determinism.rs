@@ -123,7 +123,7 @@ fn interrupted_attack_sweep_resumes_to_the_uninterrupted_aggregates() {
             &ResilienceOptions {
                 checkpoint_dir: Some(dir.clone()),
                 cancel: Some(flag),
-                resume: false,
+                ..ResilienceOptions::default()
             },
         )
         .unwrap();
@@ -142,7 +142,7 @@ fn interrupted_attack_sweep_resumes_to_the_uninterrupted_aggregates() {
             &ResilienceOptions {
                 checkpoint_dir: Some(dir.clone()),
                 resume: true,
-                cancel: None,
+                ..ResilienceOptions::default()
             },
         )
         .unwrap();

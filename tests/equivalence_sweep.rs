@@ -28,7 +28,9 @@
 
 use fault::FaultSpec;
 use golden::stats::{breakdown, checker_shares, latency_cdf, simultaneity_cdf};
-use golden::{Campaign, CampaignConfig, Detector, RecoveryHarness, RecoveryOptions};
+use golden::{
+    Campaign, CampaignConfig, Detector, RecoveryCampaign, RecoveryCampaignConfig, RecoveryOptions,
+};
 use noc_types::NocConfig;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -194,7 +196,11 @@ fn recovery_class_sweep_matches_snapshot() {
         },
         ..RecoveryOptions::paper_defaults()
     };
-    let harness = RecoveryHarness::try_new(noc.clone(), opts).expect("valid options");
+    let harness = RecoveryCampaign::try_new(RecoveryCampaignConfig {
+        noc: noc.clone(),
+        opts,
+    })
+    .expect("valid options");
     let universe = fault::enumerate_sites(&noc);
     let site = *universe
         .iter()

@@ -5,7 +5,7 @@
 //! machine, so nothing about a rerun may depend on host state.
 
 use fault::{FaultSpec, Watchdog};
-use golden::{RecoveryHarness, RecoveryOptions};
+use golden::{RecoveryCampaign, RecoveryCampaignConfig, RecoveryOptions};
 use noc_types::NocConfig;
 
 fn quick_cfg() -> NocConfig {
@@ -17,6 +17,11 @@ fn quick_cfg() -> NocConfig {
     cfg.packet_lengths = vec![5];
     cfg.injection_rate = 0.05;
     cfg
+}
+
+/// The recovery campaign over `noc` under `opts`.
+fn campaign(noc: NocConfig, opts: RecoveryOptions) -> RecoveryCampaign {
+    RecoveryCampaign::try_new(RecoveryCampaignConfig { noc, opts }).expect("valid options")
 }
 
 fn quick_opts() -> RecoveryOptions {
@@ -32,7 +37,7 @@ fn quick_opts() -> RecoveryOptions {
 }
 
 fn roundtrip(spec: &FaultSpec) -> (String, String) {
-    let h = RecoveryHarness::try_new(quick_cfg(), quick_opts()).expect("valid options");
+    let h = campaign(quick_cfg(), quick_opts());
     let a = h.run(Some(spec));
     let b = h.run(Some(spec));
     (
@@ -61,7 +66,7 @@ fn recovery_runs_are_byte_identical_per_class() {
 
 #[test]
 fn fault_free_baseline_is_deterministic_too() {
-    let h = RecoveryHarness::try_new(quick_cfg(), quick_opts()).expect("valid options");
+    let h = campaign(quick_cfg(), quick_opts());
     let a = serde_json::to_string(&h.run(None)).expect("serializable run");
     let b = serde_json::to_string(&h.run(None)).expect("serializable run");
     assert_eq!(a, b);
@@ -77,8 +82,8 @@ fn different_seeds_change_the_trace_inputs() {
     cfg_a.seed = 11;
     let mut cfg_b = quick_cfg();
     cfg_b.seed = 12;
-    let ha = RecoveryHarness::try_new(cfg_a, opts).expect("valid options");
-    let hb = RecoveryHarness::try_new(cfg_b, opts).expect("valid options");
+    let ha = campaign(cfg_a, opts);
+    let hb = campaign(cfg_b, opts);
     let ra = ha.run(None);
     let rb = hb.run(None);
     assert_ne!(

@@ -9,7 +9,8 @@
 
 use fault::{FaultSpec, Watchdog};
 use golden::{
-    containment_covered, DeliveryVerdict, RecoveryHarness, RecoveryOptions, RecoveryOutcome,
+    containment_covered, DeliveryVerdict, RecoveryCampaign, RecoveryCampaignConfig,
+    RecoveryOptions, RecoveryOutcome,
 };
 use noc_sim::{ContainmentLevel, RecoveryPolicy};
 use noc_types::site::SignalKind;
@@ -22,6 +23,11 @@ fn recovery_cfg() -> NocConfig {
     cfg.packet_lengths = vec![5];
     cfg.injection_rate = 0.05;
     cfg
+}
+
+/// The recovery campaign over `noc` under `opts`.
+fn campaign(noc: NocConfig, opts: RecoveryOptions) -> RecoveryCampaign {
+    RecoveryCampaign::try_new(RecoveryCampaignConfig { noc, opts }).expect("valid options")
 }
 
 fn quick_opts() -> RecoveryOptions {
@@ -52,7 +58,7 @@ fn covered_sample(cfg: &NocConfig, n: usize) -> Vec<SiteRef> {
 #[test]
 fn persistent_faults_at_covered_sites_deliver_exactly_once() {
     let cfg = recovery_cfg();
-    let h = RecoveryHarness::try_new(cfg.clone(), quick_opts()).expect("valid options");
+    let h = campaign(cfg.clone(), quick_opts());
     for site in covered_sample(&cfg, 6) {
         for spec in [
             FaultSpec::permanent(site, 900),
@@ -84,7 +90,7 @@ fn containment_actually_fires_under_a_persistent_fault() {
     // covered site consumes alerts and escalates to quarantine, and that
     // the transport resent something across the disruption.
     let cfg = recovery_cfg();
-    let h = RecoveryHarness::try_new(cfg.clone(), quick_opts()).expect("valid options");
+    let h = campaign(cfg.clone(), quick_opts());
     let site = covered_sample(&cfg, 6)[0];
     let run = h.run(Some(&FaultSpec::permanent(site, 900)));
     assert!(run.fault_hits > 0, "fault never touched a live wire");
@@ -122,7 +128,7 @@ fn duty_cycled_intermittent_buf_empty_delivers_and_quarantines() {
     // exactly once.
     let cfg = recovery_cfg();
     let site = buf_empty_site(&cfg, 2, 0, 1);
-    let h = RecoveryHarness::try_new(cfg, quick_opts()).expect("valid options");
+    let h = campaign(cfg, quick_opts());
     let run = h.run_isolated(Some(&FaultSpec::intermittent(site, 50, 10, 900)));
     assert!(run.fault_hits > 0, "fault never touched a live wire");
     assert!(
@@ -168,7 +174,7 @@ fn alert_silent_buf_empty_freeze_needs_the_worm_age_monitor() {
         },
         ..quick_opts()
     };
-    let h = RecoveryHarness::try_new(cfg.clone(), blind).expect("valid options");
+    let h = campaign(cfg.clone(), blind);
     let run = h.run_isolated(Some(&spec));
     assert!(
         matches!(run.outcome, RecoveryOutcome::Hung(_)),
@@ -178,7 +184,7 @@ fn alert_silent_buf_empty_freeze_needs_the_worm_age_monitor() {
 
     // Monitor at defaults: the stalled worm ages out, containment drains
     // it, and the run ends quiescent with exactly-once delivery.
-    let h = RecoveryHarness::try_new(cfg, quick_opts()).expect("valid options");
+    let h = campaign(cfg, quick_opts());
     let run = h.run_isolated(Some(&spec));
     assert!(
         matches!(run.outcome, RecoveryOutcome::Quiescent),
