@@ -67,8 +67,9 @@ INCIDENTS="$("$NOCALERTD" events --addr "$SVC_ADDR" --job "$JOB" | grep -c Incid
 [ "$INCIDENTS" -ge 1 ] || { echo "service smoke: empty incident stream" >&2; exit 1; }
 # Second job (383 sites, about a second of work), SIGKILLed right after
 # its first progress frame, must resume its journalled units after a
-# restart. The loop stops reading at that frame; `events` then dies of
-# the closed pipe or the closed connection, and its status is not ours.
+# restart. The loop stops reading at that frame; `events` then ends on
+# the closed pipe (exit 0) or the closed connection, and its status is
+# not ours.
 JOB2="$("$NOCALERTD" submit --addr "$SVC_ADDR" --spec "${SPEC/\"limit\":1/\"limit\":400}")"
 while IFS= read -r FRAME; do
     case "$FRAME" in *Progress*) break ;; esac
@@ -82,6 +83,9 @@ SVC_ADDR="$(cat "$SVC_DIR/addr2")"
 SUMMARY="$("$NOCALERTD" wait --addr "$SVC_ADDR" --job "$JOB2" --timeout-secs 300)"
 echo "$SUMMARY"
 [[ "$SUMMARY" =~ resumed\ [1-9] ]] || { echo "service smoke: the restarted job resumed nothing" >&2; exit 1; }
+# A reader that stops early ends the feed of hundreds of frames: under
+# pipefail, `events` must exit 0 on the closed pipe.
+"$NOCALERTD" events --addr "$SVC_ADDR" --job "$JOB2" | head -n 1 >/dev/null
 # Hostile input: a deeply nested JSON body gets a 400, and the daemon
 # keeps answering.
 svc_status() { # METHOD PATH [BODY] -> the daemon's status line

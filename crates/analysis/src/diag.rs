@@ -182,12 +182,6 @@ mod tests {
         ("NL217", Pass::Prove),
         ("NL218", Pass::Prove),
         ("NL221", Pass::Prove),
-        ("NL231", Pass::Prove),
-        ("NL232", Pass::Prove),
-        ("NL233", Pass::Prove),
-        ("NL234", Pass::Prove),
-        ("NL235", Pass::Prove),
-        ("NL236", Pass::Prove),
         ("NL290", Pass::Prove),
         ("NL301", Pass::Lint),
         ("NL302", Pass::Lint),

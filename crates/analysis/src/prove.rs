@@ -17,28 +17,17 @@
 //!   invariance 17 fires *iff* the combination is illegal under the
 //!   microarchitectural event model — silence on all legal inputs **and**
 //!   detection of all illegal ones.
-//! * **Batched-lanes cone** — the bit-plane (structure-of-arrays) forms
-//!   the runtime bank actually evaluates (`nocalert::batched`) proved
-//!   equivalent, lane by lane, to the scalar predicates above: same
-//!   verdict at the loaded lane, silence at every other lane, over the
-//!   full scalar input space of each predicate. This closes the loop —
-//!   the cones above prove the scalar predicates correct, this cone
-//!   proves the deployed wide evaluation computes those same predicates.
 //!
 //! Crucially, the predicates proved here are the very functions the
 //! runtime [`nocalert::AlertBank`] evaluates (`nocalert::predicates`,
-//! `nocalert::batched`, `noc_sim::routing`) — there is no re-derivation
-//! that could drift.
+//! `noc_sim::routing`) — there is no re-derivation that could drift.
 
 use crate::diag::{Diagnostic, Pass, Severity};
 use noc_sim::arbiter::RoundRobin;
 use noc_sim::routing::{productive, route, turn_legal};
 use noc_sim::FaultRegionMap;
-use noc_types::bitlanes::{apply_fault_to_plane, BitLanes, SignalPlane, LANES};
 use noc_types::config::{NocConfig, RoutingAlgorithm};
 use noc_types::geometry::{Coord, Direction, Mesh, NodeId};
-use noc_types::FaultKind;
-use nocalert::batched::{check_arbiter_lanes, vc_order_violated_lanes};
 use nocalert::predicates::{check_arbiter_wires, vc_order_violated};
 use serde::Serialize;
 
@@ -244,166 +233,6 @@ pub fn prove_vc_state(diags: &mut Vec<Diagnostic>) -> ConeProof {
     }
     ConeProof {
         cone: "vc-state".into(),
-        cases,
-        violations,
-    }
-}
-
-/// Proves the bit-lane (batched) predicate forms of `nocalert::batched`
-/// equivalent to their scalar originals, one loaded lane at a time:
-///
-/// * **NL231 (arbiter)** — every `(req, grant)` 8-bit wire pair — the
-///   full 2¹⁶ scalar input space — loaded into a rotating lane; the wide
-///   verdict at that lane must equal [`check_arbiter_wires`] on the same
-///   wires.
-/// * **NL233 (vc-order)** — every `(state, events, speculative)` input of
-///   invariance 17 at *every* lane position against
-///   [`vc_order_violated`].
-/// * **NL235 (fault plane)** — every [`FaultKind`] × wire value ×
-///   activity at every lane against the scalar `FaultKind::apply`.
-/// * **NL232/NL234/NL236** — cross-lane leakage: with exactly one lane
-///   loaded, no verdict (or fault effect) may appear in any other lane.
-///
-/// Since the wide forms are pure bitwise maps with no cross-plane
-/// interaction beyond these checks, single-lane equivalence plus
-/// zero leakage extends to every multi-lane load by superposition.
-pub fn prove_batched_lanes(diags: &mut Vec<Diagnostic>) -> ConeProof {
-    let mut cases = 0u64;
-    let mut violations = 0u64;
-    let mut fail = |code, msg: String| {
-        violations += 1;
-        if violations <= 5 {
-            diags.push(violation(code, msg));
-        }
-    };
-
-    // Arbiter invariances 4/5/6: full 2^16 wire space, rotating lanes so
-    // every lane position is exercised 1024 times.
-    for req in 0..256u64 {
-        for grant in 0..256u64 {
-            cases += 1;
-            let lane = (((req << 8) | grant) % LANES as u64) as usize;
-            let mut rp = SignalPlane::<8>::new();
-            let mut gp = SignalPlane::<8>::new();
-            if !rp.set_lane(lane, req) || !gp.set_lane(lane, grant) {
-                fail("NL231", format!("lane {lane} refused 8-bit wires"));
-                continue;
-            }
-            let wide = check_arbiter_lanes(&rp, &gp);
-            let scalar = check_arbiter_wires(req, grant);
-            if wide.lane(lane) != scalar {
-                fail(
-                    "NL231",
-                    format!(
-                        "batched arbiter verdict diverges at lane {lane} for req {req:#b} \
-                         grant {grant:#b}: {:?} vs {scalar:?}",
-                        wide.lane(lane)
-                    ),
-                );
-            }
-            let others = !(1u64 << lane);
-            let leak =
-                (wide.grant_without_request.0 | wide.grant_to_nobody.0 | wide.multiple_grants.0)
-                    & others;
-            if leak != 0 {
-                fail(
-                    "NL232",
-                    format!(
-                        "arbiter lanes {leak:#x} fire with only lane {lane} loaded \
-                         (req {req:#b} grant {grant:#b})"
-                    ),
-                );
-            }
-        }
-    }
-
-    // Invariance 17: the full 64-case scalar space at every lane.
-    for speculative in [false, true] {
-        for state in 0u64..4 {
-            for evs in 0u8..8 {
-                let (rc, va, sa) = (evs & 1 != 0, evs & 2 != 0, evs & 4 != 0);
-                for lane in 0..LANES {
-                    cases += 1;
-                    let mut sp = SignalPlane::<2>::new();
-                    if !sp.set_lane(lane, state) {
-                        fail("NL233", format!("lane {lane} refused a 2-bit state"));
-                        continue;
-                    }
-                    let ev = |on: bool| {
-                        if on {
-                            BitLanes(1u64 << lane)
-                        } else {
-                            BitLanes::EMPTY
-                        }
-                    };
-                    let fired = vc_order_violated_lanes(&sp, ev(rc), ev(va), ev(sa), speculative);
-                    let want = vc_order_violated(state, rc, va, sa, speculative);
-                    if fired.get(lane) != want {
-                        fail(
-                            "NL233",
-                            format!(
-                                "batched inv17 diverges at lane {lane}: state={state} rc={rc} \
-                                 va={va} sa={sa} speculative={speculative}"
-                            ),
-                        );
-                    }
-                    if fired.0 & !(1u64 << lane) != 0 {
-                        fail(
-                            "NL234",
-                            format!("inv17 fires outside loaded lane {lane} (state={state})"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // Lane-masked fault application vs the scalar bit-level `apply`.
-    for kind in [
-        FaultKind::Transient,
-        FaultKind::Permanent,
-        FaultKind::StuckAt0,
-        FaultKind::StuckAt1,
-        FaultKind::Intermittent { period: 2, duty: 1 },
-    ] {
-        for lane in 0..LANES {
-            for wire in [false, true] {
-                for active in [false, true] {
-                    cases += 1;
-                    let plane = if wire { 1u64 << lane } else { 0 };
-                    let lanes = if active {
-                        BitLanes(1u64 << lane)
-                    } else {
-                        BitLanes::EMPTY
-                    };
-                    let got = apply_fault_to_plane(kind, plane, lanes);
-                    let want = if active {
-                        kind.apply(u64::from(wire), 0) & 1
-                    } else {
-                        u64::from(wire)
-                    };
-                    if (got >> lane) & 1 != want {
-                        fail(
-                            "NL235",
-                            format!(
-                                "plane fault {kind:?} diverges at lane {lane} \
-                                 (wire={wire} active={active})"
-                            ),
-                        );
-                    }
-                    if got & !(1u64 << lane) != 0 {
-                        fail(
-                            "NL236",
-                            format!("plane fault {kind:?} leaks outside lane {lane}"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    ConeProof {
-        cone: "batched-lanes".into(),
         cases,
         violations,
     }
@@ -870,7 +699,6 @@ pub fn prove_all(cfg: &NocConfig, jobs: usize) -> (Vec<Diagnostic>, Vec<ConeProo
         task(|d| prove_routing(cfg, RoutingAlgorithm::WestFirst, d)),
         task(|d| prove_fault_region(cfg, d)),
         task(prove_vc_state),
-        task(prove_batched_lanes),
     ];
     let mut diags = Vec::new();
     let mut proofs = Vec::new();
@@ -989,17 +817,6 @@ mod tests {
         // A full prove_all leaves no NL218 behind.
         let (diags, proofs) = prove_all(&NocConfig::small_test(), 2);
         assert!(diags.iter().all(|d| d.code != "NL218"), "{diags:#?}");
-        assert_eq!(proofs.len(), 6);
-    }
-
-    #[test]
-    fn batched_lane_cone_is_exhaustive_and_clean() {
-        let mut diags = Vec::new();
-        let p = prove_batched_lanes(&mut diags);
-        assert_eq!(p.cone, "batched-lanes");
-        // 2^16 arbiter wire pairs + 64 inv17 inputs × 64 lanes + 5 fault
-        // kinds × 64 lanes × wire × activity.
-        assert_eq!(p.cases, 65_536 + 64 * 64 + 5 * 64 * 4);
-        assert_eq!(p.violations, 0, "{diags:#?}");
+        assert_eq!(proofs.len(), 5);
     }
 }

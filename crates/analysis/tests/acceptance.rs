@@ -81,7 +81,7 @@ fn prover_holds_on_canonical_and_section_4_4_variations() {
         assert!(cfg.validate().is_ok());
         let (diags, proofs) = prove_all(cfg, 1);
         assert!(diags.is_empty(), "{cfg:?}: {diags:#?}");
-        assert_eq!(proofs.len(), 6);
+        assert_eq!(proofs.len(), 5);
         for p in &proofs {
             assert_eq!(p.violations, 0, "{cfg:?}: {p:?}");
         }

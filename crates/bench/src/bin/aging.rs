@@ -27,11 +27,14 @@
 //! (including the fault-region state digest) before continuing — a
 //! diverging checkpoint is a fatal error, not a silent fork. A
 //! populated directory without `--resume` is refused rather than
-//! overwritten.
+//! overwritten. Creating `<checkpoint-dir>/STOP` stops the campaign
+//! after the epoch in flight is journalled (exit 1, `INTERRUPTED`);
+//! remove it and re-run with `--resume` to finish.
 
 use golden::{AgingError, AgingHarness, AgingOptions, AgingOutcome, AgingReport, EpochReport};
-use nocalert_bench::{fail, maybe_write_json, row, Args};
+use nocalert_bench::{fail, maybe_write_json, resilience_from, row, Args};
 use std::ops::ControlFlow;
+use std::sync::atomic::Ordering;
 
 /// The binary's tag in fatal diagnostics.
 const TAG: &str = "aging";
@@ -159,8 +162,9 @@ fn main() {
         opts.cut_column,
     );
 
-    let (prior, mut log) = match args.str("checkpoint-dir") {
-        Some(d) => match harness.open_journal(d, args.flag("resume")) {
+    let resilience = resilience_from(&args);
+    let (prior, mut log) = match &resilience.checkpoint_dir {
+        Some(d) => match harness.open_journal(d, resilience.resume) {
             Ok((prior, writer)) => (prior, Some(writer)),
             Err(e) => fail(TAG, &format!("checkpoint: {e}")),
         },
@@ -184,7 +188,10 @@ fn main() {
                 fail(TAG, &format!("checkpoint append: {err}"));
             }
         }
-        ControlFlow::Continue(())
+        match &resilience.cancel {
+            Some(stop) if stop.load(Ordering::SeqCst) => ControlFlow::Break(()),
+            _ => ControlFlow::Continue(()),
+        }
     });
     let report = match result {
         Ok(r) => r,
@@ -204,7 +211,12 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    let code = summarize(&report, &opts);
+    let code = if report.interrupted(plan_len) {
+        println!("\nINTERRUPTED: the campaign was cancelled before the mesh partitioned.");
+        1
+    } else {
+        summarize(&report, &opts)
+    };
     maybe_write_json(&args, &report);
     std::process::exit(code);
 }

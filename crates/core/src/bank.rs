@@ -8,7 +8,6 @@
 //! never influences the simulation (checkers "never interfere with — or
 //! interrupt — the operation of the NoC").
 
-use crate::batched::{ArbiterPack, ArbiterPackResult, VcOrderPack};
 use crate::predicates::{check_arbiter_wires, vc_order_violated};
 use crate::table::{info, CheckerId, Risk, TABLE1};
 use noc_sim::routing::{productive, route_avoiding, turn_legal};
@@ -301,26 +300,10 @@ impl AlertBank {
         kind == 0 || kind == 3 // Head or HeadTail encodings
     }
 
-    /// Raises invariances 4/5/6 for the arbiter event at pack position
-    /// `idx`, consuming the position. The verdict comes from the wide
-    /// bit-lane evaluation when the event was packed; otherwise the same
-    /// scalar predicate is applied to the raw `(req, grant)` wires — one
-    /// definition of the arbiter invariances either way, shared with the
-    /// static prover (see `crate::predicates` and `crate::batched`).
-    fn raise_arbiter_at(
-        &mut self,
-        res: &ArbiterPackResult,
-        idx: &mut usize,
-        cycle: Cycle,
-        router: u16,
-        port: u8,
-        wires: (u64, u64),
-    ) {
-        let check = match res.lane(*idx) {
-            Some(c) => c,
-            None => check_arbiter_wires(wires.0, wires.1),
-        };
-        *idx += 1;
+    /// Raises invariances 4/5/6 for one arbiter's `(req, grant)` wires,
+    /// with the predicate the static prover checks (`crate::predicates`).
+    fn raise_arbiter(&mut self, cycle: Cycle, router: u16, port: u8, req: u64, grant: u64) {
+        let check = check_arbiter_wires(req, grant);
         if check.grant_without_request {
             self.raise(CheckerId(4), cycle, router, port, 0);
         }
@@ -392,33 +375,11 @@ impl Observer for AlertBank {
         }
 
         // ---- Local arbiters: 4, 5, 6 (+7 on SA1 credits) ----
-        // Every arbiter event in this record — VA1, SA1, VA2 and SA2 —
-        // is packed into bit-lanes and invariances 4/5/6 evaluated for
-        // all of them in one wide pass; `raise_arbiter_at` then hands
-        // each event its lane verdict back in push order, falling back
-        // to the scalar predicate for any event that could not be
-        // packed (see `crate::batched`). Assertion order is untouched:
-        // verdicts are consumed exactly where the per-event calls were.
-        let mut pack = ArbiterPack::new();
         for e in &rec.va1 {
-            pack.push(e.req, e.grant);
+            self.raise_arbiter(cycle, router, e.port, e.req, e.grant);
         }
         for e in &rec.sa1 {
-            pack.push(e.req, e.grant);
-        }
-        for e in &rec.va2 {
-            pack.push(e.req, e.grant);
-        }
-        for e in &rec.sa2 {
-            pack.push(e.req, e.grant);
-        }
-        let arb = pack.evaluate();
-        let mut arb_idx = 0usize;
-        for e in &rec.va1 {
-            self.raise_arbiter_at(&arb, &mut arb_idx, cycle, router, e.port, (e.req, e.grant));
-        }
-        for e in &rec.sa1 {
-            self.raise_arbiter_at(&arb, &mut arb_idx, cycle, router, e.port, (e.req, e.grant));
+            self.raise_arbiter(cycle, router, e.port, e.req, e.grant);
             if e.grant & !e.credit_ok != 0 {
                 self.raise(CheckerId(7), cycle, router, e.port, 0);
             }
@@ -434,14 +395,7 @@ impl Observer for AlertBank {
         }
         self.va2_granted.clear();
         for e in &rec.va2 {
-            self.raise_arbiter_at(
-                &arb,
-                &mut arb_idx,
-                cycle,
-                router,
-                e.out_port,
-                (e.req, e.grant),
-            );
+            self.raise_arbiter(cycle, router, e.out_port, e.req, e.grant);
             if e.grant != 0 {
                 // Grant to an occupied downstream VC (invariance 7).
                 if (e.free_mask >> e.out_vc) & 1 == 0 {
@@ -484,14 +438,7 @@ impl Observer for AlertBank {
         // ---- SA2: 4, 5, 6, 7, 9, 11, 13 ----
         let mut port_grants = [0u32; 8];
         for e in &rec.sa2 {
-            self.raise_arbiter_at(
-                &arb,
-                &mut arb_idx,
-                cycle,
-                router,
-                e.out_port,
-                (e.req, e.grant),
-            );
+            self.raise_arbiter(cycle, router, e.out_port, e.req, e.grant);
             for p in 0..8u8 {
                 if (e.grant >> p) & 1 == 1 {
                     port_grants[p as usize] += 1;
@@ -538,27 +485,15 @@ impl Observer for AlertBank {
         // In the speculative design of Section 4.4, SA may legally
         // succeed while VA is still pending — invariance 17 is altered
         // "so as not to raise an assertion if SA succeeds before VA is
-        // done". The predicate is shared with the static prover; all of
-        // the record's VC events are evaluated in one bit-lane pass
-        // (scalar fallback for any event past the lane capacity).
-        let mut vpack = VcOrderPack::new();
+        // done". The predicate is shared with the static prover.
         for e in &rec.vc {
-            vpack.push(e.state_before, e.ev_rc_done, e.ev_va_done, e.ev_sa_won);
-        }
-        let vres = vpack.evaluate(self.cfg.speculative);
-        for (vi, e) in rec.vc.iter().enumerate() {
-            let s = e.state_before;
-            let order_violated = match vres.lane(vi) {
-                Some(f) => f,
-                None => vc_order_violated(
-                    s,
-                    e.ev_rc_done,
-                    e.ev_va_done,
-                    e.ev_sa_won,
-                    self.cfg.speculative,
-                ),
-            };
-            if order_violated {
+            if vc_order_violated(
+                e.state_before,
+                e.ev_rc_done,
+                e.ev_va_done,
+                e.ev_sa_won,
+                self.cfg.speculative,
+            ) {
                 self.raise(CheckerId(17), cycle, router, e.port, e.vc);
             }
             if e.ev_va_done {

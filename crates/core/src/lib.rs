@@ -54,13 +54,11 @@
 #![warn(missing_docs)]
 
 pub mod bank;
-pub mod batched;
 pub mod diagnosis;
 pub mod predicates;
 pub mod table;
 
 pub use bank::{AlertBank, AssertionEvent};
-pub use batched::{check_arbiter_lanes, vc_order_violated_lanes, ArbiterLaneCheck};
 pub use diagnosis::{localize, Diagnosis};
 pub use predicates::{check_arbiter_wires, vc_order_violated, ArbiterCheck};
 pub use table::{info, Applicability, Category, CheckerId, CheckerInfo, Risk, TABLE1};

@@ -383,6 +383,13 @@ impl AgingReport {
         }
     }
 
+    /// True when the run stopped before its end: a finished run ends in
+    /// a partition or with all `plan_len` epochs run, so only a callback
+    /// that broke the run early leaves neither.
+    pub fn interrupted(&self, plan_len: usize) -> bool {
+        self.partition().is_none() && self.epochs.len() < plan_len
+    }
+
     /// Number of epochs that stalled.
     pub fn stalled_epochs(&self) -> u32 {
         self.epochs

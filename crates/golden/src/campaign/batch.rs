@@ -1,4 +1,4 @@
-//! The batched bit-plane rollout engine (DESIGN.md §12).
+//! The batched rollout engine (DESIGN.md §12).
 //!
 //! The scalar campaign steps one cloned network per fault site through
 //! `active_window + drain + coda` cycles — even though a single-event

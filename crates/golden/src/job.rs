@@ -417,8 +417,7 @@ impl JobDriver {
             report.partition().is_some(),
             resumed
         );
-        // A finished run ends in a partition or with the plan exhausted.
-        let interrupted = report.partition().is_none() && report.epochs.len() < total as usize;
+        let interrupted = report.interrupted(total as usize);
         let done = SweepReport {
             reports: report.epochs,
             resumed,

@@ -22,9 +22,6 @@
 //! * [`record`] — per-cycle observation records: the wire values every module
 //!   produced this cycle. This is the observation surface of the NoCAlert
 //!   checkers *and* of the ForEVeR Allocation Comparator.
-//! * [`bitlanes`] — the bit-transposed structure-of-arrays representation
-//!   that lets the checker predicates and the fault plane evaluate up to 64
-//!   wire instances (or campaign lanes) per bitwise operation.
 //!
 //! # Example
 //!
@@ -41,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod attack;
-pub mod bitlanes;
 pub mod config;
 pub mod error;
 pub mod flit;
@@ -52,7 +48,6 @@ pub mod region;
 pub mod site;
 
 pub use attack::{AttackKind, AttackSpec};
-pub use bitlanes::{BitLanes, SignalPlane, LANES};
 pub use config::{BufferPolicy, NocConfig, RoutingAlgorithm, TrafficPattern};
 pub use error::SimError;
 pub use flit::{Flit, FlitKind, FlitOrigin, PacketId};

@@ -19,6 +19,7 @@
 use nocalert_service::{http, Server, ServerOptions};
 use serde::Value;
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -197,13 +198,20 @@ fn wait(args: &Args) -> i32 {
 fn events(args: &Args) -> i32 {
     let addr = args.required("addr");
     let job = args.required("job");
-    let outcome = http::stream_events(addr, &format!("/jobs/{job}/events"), &mut |data| {
-        println!("{data}");
-        true
+    let mut out = std::io::stdout().lock();
+    let mut write_err = None;
+    let path = format!("/jobs/{job}/events");
+    let outcome = http::stream_events(addr, &path, &mut |data| {
+        writeln!(out, "{data}")
+            .map_err(|e| write_err = Some(e))
+            .is_ok()
     });
-    match outcome {
-        Ok(()) => 0,
-        Err(e) => {
+    // A reader that stops early (`| head -n 1`) closes the pipe: that
+    // ends the feed, it is not a failure.
+    match (write_err, outcome) {
+        (None, Ok(())) => 0,
+        (Some(e), _) if e.kind() == ErrorKind::BrokenPipe => 0,
+        (Some(e), _) | (None, Err(e)) => {
             eprintln!("[nocalertd] events: {e}");
             1
         }
