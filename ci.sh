@@ -54,8 +54,9 @@ SVC_DIR="$(mktemp -d)"
 # Guard against SVC_PID=0: `kill -9 0` would take down our own
 # process group.
 trap 'if [ "${SVC_PID:-0}" != 0 ]; then kill -9 "$SVC_PID" 2>/dev/null || true; fi; rm -rf "$SVC_DIR"' EXIT
+# Both daemons log to one file, read back after the early-exit reader.
 "$NOCALERTD" serve --data-dir "$SVC_DIR" --addr 127.0.0.1:0 \
-    --addr-file "$SVC_DIR/addr" --workers 1 &
+    --addr-file "$SVC_DIR/addr" --workers 1 2>>"$SVC_DIR/daemon.err" &
 SVC_PID=$!
 for _ in $(seq 1 100); do [ -s "$SVC_DIR/addr" ] && break; sleep 0.1; done
 SVC_ADDR="$(cat "$SVC_DIR/addr")"
@@ -76,7 +77,7 @@ while IFS= read -r FRAME; do
 done < <("$NOCALERTD" events --addr "$SVC_ADDR" --job "$JOB2" 2>/dev/null)
 kill -9 "$SVC_PID"; wait "$SVC_PID" 2>/dev/null || true
 "$NOCALERTD" serve --data-dir "$SVC_DIR" --addr 127.0.0.1:0 \
-    --addr-file "$SVC_DIR/addr2" --workers 1 &
+    --addr-file "$SVC_DIR/addr2" --workers 1 2>>"$SVC_DIR/daemon.err" &
 SVC_PID=$!
 for _ in $(seq 1 100); do [ -s "$SVC_DIR/addr2" ] && break; sleep 0.1; done
 SVC_ADDR="$(cat "$SVC_DIR/addr2")"
@@ -102,6 +103,13 @@ STATUS="$(svc_status POST /jobs "$NESTED")"
 [ "$STATUS" = "HTTP/1.1 400 Bad Request" ] || { echo "service smoke: nested body got '$STATUS'" >&2; exit 1; }
 STATUS="$(svc_status GET /healthz)"
 [ "$STATUS" = "HTTP/1.1 200 OK" ] || { echo "service smoke: /healthz got '$STATUS'" >&2; exit 1; }
+# A client that hung up early (the `head -n 1` reader above) is not a
+# connection error in the daemon's log.
+if grep -q "connection error" "$SVC_DIR/daemon.err"; then
+    cat "$SVC_DIR/daemon.err" >&2
+    echo "service smoke: the daemon logged a client hang-up as an error" >&2
+    exit 1
+fi
 kill -9 "$SVC_PID" 2>/dev/null || true; wait "$SVC_PID" 2>/dev/null || true
 SVC_PID=0
 rm -rf "$SVC_DIR"
@@ -112,6 +120,17 @@ python3 perfbench/selftest.py
 
 step "paper-scale differential (8x8 batched vs scalar, release)"
 cargo test -q --release -p nocalert-golden --lib -- --ignored paper_scale
+
+step "paper figures gate (8x8, 32 sites at cycles 0 and 32000, release)"
+# Figures 6-9 JSON must equal the committed file byte for byte; it is
+# identical at any --threads. After an intended behaviour change,
+# re-bless it in the same change with:
+#   cargo run -q --release -p nocalert-bench --bin figures -- --sites 32 --threads 2 --json results/figures-gate.json
+FIG_JSON="$(mktemp)"
+cargo run -q --release -p nocalert-bench --bin figures -- \
+    --sites 32 --threads 2 --json "$FIG_JSON" >/dev/null
+cmp "$FIG_JSON" results/figures-gate.json || { echo "figures gate: results/figures-gate.json differs" >&2; rm -f "$FIG_JSON"; exit 1; }
+rm -f "$FIG_JSON"
 
 step "cargo test"
 cargo test -q --workspace

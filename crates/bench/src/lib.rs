@@ -1,9 +1,10 @@
-//! Shared harness utilities for the per-figure experiment binaries.
+//! Shared harness utilities for the experiment binaries.
 //!
-//! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation section (see DESIGN.md's experiment index). They share the
-//! campaign setup, a tiny `--key value` argument parser, and JSON result
-//! dumping so EXPERIMENTS.md can be regenerated mechanically.
+//! Every binary in `src/bin/` regenerates artifacts of the paper's
+//! evaluation section (see DESIGN.md's experiment index); `figures`
+//! prints Figures 6–9 and Observations 1 and 5 from one campaign. They
+//! share the campaign setup, a tiny `--key value` argument parser, and
+//! JSON result dumping so EXPERIMENTS.md can be regenerated mechanically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -148,7 +149,7 @@ impl Experiment {
 
     /// Resilience options for one campaign phase: results shard under
     /// `<checkpoint-dir>/<phase>` so binaries that run several campaigns
-    /// (fig6's two warm-ups, ablate's per-checker sweeps) keep them
+    /// (`figures`' two warm-ups, ablate's per-checker sweeps) keep them
     /// separate. Creating `<checkpoint-dir>/STOP` requests a graceful
     /// flush-and-exit of every phase through one shared flag.
     pub fn resilience(&self, phase: &str) -> ResilienceOptions {
@@ -166,7 +167,9 @@ impl Experiment {
     /// experiment's checkpoint/resume policy and summarizes the sweep's
     /// health on stderr. Crashed runs are quarantined and excluded from
     /// the returned (classified) results; a fatal harness error
-    /// (checkpoint I/O, config mismatch) exits with a diagnostic.
+    /// (checkpoint I/O, config mismatch) exits 2 with a diagnostic, and a
+    /// sweep that `<checkpoint-dir>/STOP` interrupted prints
+    /// `INTERRUPTED` and exits 1, so no partial result is ever reported.
     pub fn run_resilient(
         &self,
         campaign: &Campaign,
@@ -216,7 +219,8 @@ impl Experiment {
             );
         }
         if report.interrupted {
-            eprintln!("[campaign] interrupted by STOP flag — partial results checkpointed; rerun with --resume");
+            println!("\nINTERRUPTED: the sweep was cancelled; rerun with --resume.");
+            std::process::exit(1);
         }
         report.results()
     }
@@ -224,7 +228,7 @@ impl Experiment {
     /// Runs the transient-fault campaign at one injection instant through
     /// the resilient driver (checkpointing under phase `w<warmup>` when
     /// `--checkpoint-dir` is given).
-    pub fn run_campaign(&self, warmup: Cycle) -> (Campaign, Vec<RunResult>) {
+    pub fn run_campaign(&self, warmup: Cycle) -> Vec<RunResult> {
         let cc = CampaignConfig::paper_defaults(self.noc.clone(), warmup);
         let campaign = Campaign::new(cc);
         let sites = self.site_list();
@@ -244,7 +248,7 @@ impl Experiment {
             results.len(),
             t0.elapsed().as_secs_f64()
         );
-        (campaign, results)
+        results
     }
 }
 
@@ -315,9 +319,11 @@ pub fn percentile(sample: &mut [u64], p: usize) -> u64 {
 /// cancellation channel; kill-safety for hard kills comes from the
 /// per-line shard flushes instead.
 fn stop_watcher(dir: &Path) -> Arc<AtomicBool> {
-    let flag = Arc::new(AtomicBool::new(false));
-    let watcher = Arc::clone(&flag);
     let stop = dir.join("STOP");
+    // A STOP already present cancels before the first unit, not after
+    // the watcher thread happens to be scheduled.
+    let flag = Arc::new(AtomicBool::new(stop.exists()));
+    let watcher = Arc::clone(&flag);
     std::thread::spawn(move || loop {
         if stop.exists() {
             watcher.store(true, Ordering::SeqCst);

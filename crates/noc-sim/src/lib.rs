@@ -43,7 +43,6 @@ pub mod recovery;
 pub mod router;
 pub mod routing;
 pub mod signals;
-pub mod stats;
 pub mod trace;
 pub mod traffic;
 pub mod transport;
@@ -58,7 +57,6 @@ pub use recovery::{
 };
 pub use router::{CreditMsg, LinkFlit, Router};
 pub use signals::{enumerate_all_sites, enumerate_router_sites, live_bits, signal_width};
-pub use stats::{LatencyStats, StatsCollector};
 pub use trace::TraceObserver;
 pub use transport::{
     ArqConfig, ControlCapture, DeliveryRecord, FailureRecord, SuspicionEvent, Transport,

@@ -191,8 +191,11 @@ impl Server {
                         // Free the slot before the stream closes: a client
                         // that has seen the close finds the slot free.
                         drop(slot);
-                        if let Err(e) = served {
-                            eprintln!("[nocalertd] connection error: {e}");
+                        match served {
+                            Err(e) if !client_left(&e) => {
+                                eprintln!("[nocalertd] connection error: {e}")
+                            }
+                            _ => {}
                         }
                     });
                 }
@@ -249,6 +252,17 @@ fn run_job(registry: &Registry, cache: &Arc<GoldenCache>, id: &str) {
     if let Err(e) = registry.persist(id) {
         eprintln!("[nocalertd] persist({id}): {e}");
     }
+}
+
+/// A client that hangs up early (an SSE reader piped into `head`, say)
+/// is a normal end of its connection, not a server error to log.
+fn client_left(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::BrokenPipe
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+    )
 }
 
 fn handle_connection(

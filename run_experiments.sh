@@ -8,14 +8,11 @@ BIN="cargo run --release -q -p nocalert-bench --bin"
 $BIN table1 | tee results/table1.txt
 $BIN sites  | tee results/sites.txt
 $BIN fig10 -- --json results/fig10.json | tee results/fig10.txt
-$BIN fig6 -- --sites $SITES --warm $WARM --json results/fig6.json | tee results/fig6.txt
-$BIN fig7 -- --sites $SITES --warm $WARM --json results/fig7.json | tee results/fig7.txt
-$BIN fig8 -- --sites $SITES --warm $WARM --json results/fig8.json | tee results/fig8.txt
-$BIN fig9 -- --sites $SITES --warm $WARM --json results/fig9.json | tee results/fig9.txt
-$BIN obs5 -- --sites $SITES --warm $WARM | tee results/obs5.txt
+# Figures 6-9, Observations 1 and 5 and the exposure windows: one
+# campaign at cycle 0 and one at $WARM.
+$BIN figures -- --sites $SITES --warm $WARM --json results/figures.json | tee results/figures.txt
 $BIN obs3 -- --sites 40 --warm 8000 | tee results/obs3.txt
 # Extensions beyond the paper (optional; comment out for a faster run):
 $BIN diagnose -- --sites 250 --warm 3000 | tee results/diagnose.txt
-$BIN exposure -- --sites 300 --warm 16000 | tee results/exposure.txt
 $BIN ablate -- --sites 60 --warm 3000 | tee results/ablate.txt
 echo ALL_EXPERIMENTS_DONE

@@ -5,11 +5,12 @@
 //! The allocation-free hot path, the dense e2e/ARQ slabs and the
 //! campaign arena must change *nothing observable*: every per-run
 //! result and every derived statistic has to come out bit-identical.
-//! Each test here drives the same library pipeline as one (or several)
-//! of the `nocalert-bench` binaries — `fig6`–`fig10`, `obs3`, `obs5`,
-//! `ablate`, `recovery` — at laptop scale with the stock golden seed,
+//! Each test here drives the library pipeline behind one of the
+//! `nocalert-bench` binaries (`figures`, `obs3`, `ablate`, `recovery`),
+//! or a variant of it, at laptop scale with the stock golden seed,
 //! serializes the aggregates, and diffs them against
-//! `tests/snapshots/<name>.json`.
+//! `tests/snapshots/<name>.json`. Snapshot names keep the per-figure
+//! binary names they were generated under.
 //!
 //! Regenerating a snapshot is an explicit, reviewed act:
 //!
@@ -88,8 +89,8 @@ fn transient_results(campaign: &Campaign, n: usize) -> Vec<golden::RunResult> {
     campaign.run_many(&sites, 2)
 }
 
-/// `fig6` (steady-state warm-up) plus the pure-statistics binaries
-/// `fig7`/`fig8`/`fig9` that post-process the same transient campaign.
+/// `figures`' steady-state sweep and the Figure 6–9 statistics it
+/// derives from it.
 #[test]
 fn transient_campaign_and_figure_stats_match_snapshots() {
     let campaign = Campaign::new(sweep_cc(sweep_noc(), 300));
@@ -112,7 +113,7 @@ fn transient_campaign_and_figure_stats_match_snapshots() {
     check("fig9_simultaneity_cdf", &simultaneity_cdf(&results));
 }
 
-/// `fig6`'s empty-network arm: injection at cycle 0.
+/// `figures`' empty-network sweep: injection at cycle 0.
 #[test]
 fn empty_network_campaign_matches_snapshot() {
     let campaign = Campaign::new(sweep_cc(sweep_noc(), 0));
@@ -120,7 +121,8 @@ fn empty_network_campaign_matches_snapshot() {
     check("fig6_w0_results", &results);
 }
 
-/// `fig10`: detection breakdown as a function of offered load.
+/// Detection breakdown as a function of offered load (no binary runs
+/// this sweep; `fig10` reports hardware overheads).
 #[test]
 fn load_sweep_matches_snapshot() {
     let mut out = Vec::new();
@@ -156,7 +158,8 @@ fn persistent_fault_campaign_matches_snapshot() {
     check("obs3_persistent_results", &out);
 }
 
-/// `obs5`: the speculative-pipeline microarchitecture variant.
+/// The transient campaign on the speculative-pipeline microarchitecture
+/// variant (no binary runs it; Observation 5 reads the baseline sweep).
 #[test]
 fn speculative_campaign_matches_snapshot() {
     let mut noc = sweep_noc();
