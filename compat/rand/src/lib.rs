@@ -4,9 +4,8 @@
 //! so the workspace carries the tiny slice of the `rand 0.8` API it
 //! actually uses: [`rngs::SmallRng`] (xoshiro256++ seeded via SplitMix64,
 //! the same generator family upstream `SmallRng` uses on 64-bit targets),
-//! the [`Rng`] extension methods `gen`, `gen_range` and `gen_bool`, the
-//! [`SeedableRng::seed_from_u64`] constructor, and
-//! [`seq::SliceRandom::shuffle`] (Fisher–Yates).
+//! the [`Rng`] extension methods `gen`, `gen_range` and `gen_bool`, and the
+//! [`SeedableRng::seed_from_u64`] constructor.
 //!
 //! The streams are deterministic across platforms and releases — the
 //! property every campaign, golden reference and checkpoint/resume test
@@ -187,31 +186,9 @@ pub mod rngs {
     }
 }
 
-/// Sequence-related helpers.
-pub mod seq {
-    use super::RngCore;
-
-    /// Shuffling support for slices — the `shuffle` half of
-    /// `rand::seq::SliceRandom`.
-    pub trait SliceRandom {
-        /// In-place Fisher–Yates shuffle.
-        fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
-    }
-
-    impl<T> SliceRandom for [T] {
-        fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
-            for i in (1..self.len()).rev() {
-                let j = super::UniformInt::sample_range(rng, 0usize, i + 1);
-                self.swap(i, j);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;
-    use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
 
     #[test]
@@ -249,16 +226,5 @@ mod tests {
             seen[x as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues drawn: {seen:?}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SmallRng::seed_from_u64(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        v.shuffle(&mut r);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle moved something");
     }
 }

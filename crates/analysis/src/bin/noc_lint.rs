@@ -2,22 +2,21 @@
 //!
 //! ```text
 //! noc-lint [--json] [--mesh WxH] [--vcs N] [--nonatomic] [--speculative]
-//!          [--pass coverage|prove|detect|model|lint[,...]] [--jobs N]
-//!          [--timings] [--root DIR] [--allowlist FILE]
+//!          [--pass coverage|prove|detect|model[,...]] [--jobs N] [--timings]
 //! ```
 //!
-//! Runs the five static passes (checker-coverage, exhaustive proving,
-//! static fault detectability, recovery-plane model checking, source
-//! lints) on the canonical configuration (8×8 mesh, 2 VCs) or the one
-//! described by the flags, and prints a human report or a stable JSON
-//! document. `--jobs` fans the heavier passes out across worker threads;
-//! stdout is byte-identical for every value. `--timings` prints per-pass
-//! wall-clock durations on stderr (kept off stdout for the same reason).
+//! Runs the four static passes (checker-coverage, exhaustive proving,
+//! static fault detectability, recovery-plane model checking) on the
+//! canonical configuration (8×8 mesh, 2 VCs) or the one described by the
+//! flags, and prints a human report or a stable JSON document. It reads
+//! no source files, so it runs from any directory. `--jobs` fans the
+//! heavier passes out across worker threads; stdout is byte-identical for
+//! every value. `--timings` prints per-pass wall-clock durations on stderr
+//! (kept off stdout for the same reason).
 //! Exits 1 if any error-level diagnostic was produced, 2 on usage errors.
 
 use noc_types::config::{BufferPolicy, NocConfig};
-use nocalert_analysis::{canonical_config, find_repo_root, run, PassSelection};
-use std::path::PathBuf;
+use nocalert_analysis::{canonical_config, run, PassSelection};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -27,16 +26,13 @@ struct Options {
     passes: PassSelection,
     jobs: usize,
     timings: bool,
-    root: Option<PathBuf>,
-    allowlist: Option<PathBuf>,
 }
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("noc-lint: {err}");
     eprintln!(
         "usage: noc-lint [--json] [--mesh WxH] [--vcs N] [--nonatomic] [--speculative]\n\
-         \x20               [--pass coverage|prove|detect|model|lint[,...]] [--jobs N]\n\
-         \x20               [--timings] [--root DIR] [--allowlist FILE]"
+         \x20               [--pass coverage|prove|detect|model[,...]] [--jobs N] [--timings]"
     );
     ExitCode::from(2)
 }
@@ -48,8 +44,6 @@ fn parse_args() -> Result<Options, String> {
         passes: PassSelection::default(),
         jobs: 1,
         timings: false,
-        root: None,
-        allowlist: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -94,7 +88,6 @@ fn parse_args() -> Result<Options, String> {
                     prove: false,
                     detect: false,
                     model: false,
-                    lint: false,
                 };
                 for p in v.split(',') {
                     match p {
@@ -102,14 +95,11 @@ fn parse_args() -> Result<Options, String> {
                         "prove" => sel.prove = true,
                         "detect" => sel.detect = true,
                         "model" => sel.model = true,
-                        "lint" => sel.lint = true,
                         other => return Err(format!("unknown pass `{other}`")),
                     }
                 }
                 opts.passes = sel;
             }
-            "--root" => opts.root = Some(PathBuf::from(value("--root")?)),
-            "--allowlist" => opts.allowlist = Some(PathBuf::from(value("--allowlist")?)),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -124,22 +114,9 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => return usage(&e),
     };
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let root = match opts.root.or_else(|| find_repo_root(&cwd)) {
-        Some(r) => r,
-        None => {
-            return usage("could not locate the repository root (pass --root)");
-        }
-    };
-    let allowlist = opts
-        .allowlist
-        .unwrap_or_else(|| root.join("noc-lint.allow"));
-
     let mut timings: Vec<(&'static str, Duration)> = Vec::new();
     let report = run(
         &opts.cfg,
-        &root,
-        &allowlist,
         opts.passes,
         opts.jobs,
         opts.timings.then_some(&mut timings),
@@ -244,13 +221,6 @@ fn main() -> ExitCode {
             for trace in &m.counterexamples {
                 let _ = writeln!(out, "{trace}");
             }
-        }
-        if let Some(l) = &report.lint {
-            let _ = writeln!(
-                out,
-                "lint: {} files scanned, {} forbidden hit(s), {} allowlisted",
-                l.files_scanned, l.forbidden_hits, l.allowlisted_hits
-            );
         }
         let _ = writeln!(
             out,

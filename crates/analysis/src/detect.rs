@@ -1,4 +1,4 @@
-//! Pass 4 — static fault detectability ("static ATPG") over the
+//! Pass 3 — static fault detectability ("static ATPG") over the
 //! containment-covered sites.
 //!
 //! The recovery layer's containment guarantee (DESIGN.md §11) only holds

@@ -1,11 +1,11 @@
 //! Structured diagnostics — the output vocabulary of every `noc-lint` pass.
 //!
 //! Each finding is a [`Diagnostic`] with a stable code (`NL1xx` coverage,
-//! `NL2xx` proving, `NL3xx` lint, `NL4xx` static detectability, `NL5xx`
-//! recovery-plane model checking), a severity, and whatever provenance the
-//! pass can attach: a fault site, a checker id, or a source location. The
-//! driver renders them for humans or as JSON (`--json`), and CI fails on
-//! any [`Severity::Error`].
+//! `NL2xx` proving, `NL4xx` static detectability, `NL5xx` recovery-plane
+//! model checking; `NL3xx` is retired), a severity, and whatever
+//! provenance the pass can attach: a fault site, a checker id, or a source
+//! location. The `noc-lint` binary renders them for humans or as JSON
+//! (`--json`), and CI fails on any [`Severity::Error`].
 
 use serde::Serialize;
 use std::fmt;
@@ -13,8 +13,7 @@ use std::fmt;
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum Severity {
-    /// Informational note (e.g. an allowlisted lint hit, a sole-observer
-    /// redundancy report).
+    /// Informational note (e.g. a sole-constrainer redundancy report).
     Info,
     /// Suspicious but not gating.
     Warning,
@@ -29,25 +28,12 @@ pub enum Pass {
     Coverage,
     /// Pass 2: exhaustive invariant proving over small combinational cones.
     Prove,
-    /// Pass 3: source-level repo lints.
-    Lint,
-    /// Pass 4: static fault detectability (ATPG-style detect-or-masked
+    /// Pass 3: static fault detectability (ATPG-style detect-or-masked
     /// proofs over the containment-covered sites).
     Detect,
-    /// Pass 5: explicit-state model checking of the recovery plane
+    /// Pass 4: explicit-state model checking of the recovery plane
     /// (escalation ladder × ARQ product space).
     Model,
-}
-
-impl Pass {
-    /// All passes, in pipeline order.
-    pub const ALL: [Pass; 5] = [
-        Pass::Coverage,
-        Pass::Prove,
-        Pass::Detect,
-        Pass::Model,
-        Pass::Lint,
-    ];
 }
 
 impl fmt::Display for Pass {
@@ -55,7 +41,6 @@ impl fmt::Display for Pass {
         f.write_str(match self {
             Pass::Coverage => "coverage",
             Pass::Prove => "prove",
-            Pass::Lint => "lint",
             Pass::Detect => "detect",
             Pass::Model => "model",
         })
@@ -151,15 +136,10 @@ mod tests {
 
     #[test]
     fn display_includes_provenance() {
-        let d = Diagnostic::new(
-            Pass::Lint,
-            "NL301",
-            Severity::Error,
-            "forbidden call".into(),
-        )
-        .with_source("crates/x/src/lib.rs", 12);
+        let d = Diagnostic::new(Pass::Detect, "NL401", Severity::Error, "blind spot".into())
+            .with_source("crates/x/src/lib.rs", 12);
         let s = d.to_string();
-        assert!(s.contains("error[NL301/lint]"), "{s}");
+        assert!(s.contains("error[NL401/detect]"), "{s}");
         assert!(s.contains("crates/x/src/lib.rs:12"), "{s}");
     }
 
@@ -183,14 +163,6 @@ mod tests {
         ("NL218", Pass::Prove),
         ("NL221", Pass::Prove),
         ("NL290", Pass::Prove),
-        ("NL301", Pass::Lint),
-        ("NL302", Pass::Lint),
-        ("NL303", Pass::Lint),
-        ("NL304", Pass::Lint),
-        ("NL305", Pass::Lint),
-        ("NL311", Pass::Lint),
-        ("NL312", Pass::Lint),
-        ("NL390", Pass::Lint),
         ("NL401", Pass::Detect),
         ("NL402", Pass::Detect),
         ("NL403", Pass::Detect),

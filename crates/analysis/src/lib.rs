@@ -22,14 +22,14 @@
 //!    escalation ladder × ARQ product space, explored exhaustively under
 //!    an adversarial environment, executing the *same* transition code
 //!    the simulator runs.
-//! 5. [`lint`] — source-level repo lints: no abort points in hot-path
-//!    crates outside tests, and the hand-maintained signal catalogues stay
-//!    consistent with the compiled `SignalKind` enum.
 //!
-//! The `noc-lint` binary drives all five and renders a human report or a
+//! The `noc-lint` binary drives all four and renders a human report or a
 //! stable JSON document (`--json`); CI treats any error-level diagnostic
 //! as a failure. The heavier passes fan out across `--jobs` worker
-//! threads with deterministic (byte-identical) output.
+//! threads with deterministic (byte-identical) output. The passes read
+//! only compiled models, never the source tree, so the binary runs from
+//! any directory. (The hot-path abort rule is clippy's: see
+//! `[workspace.lints.clippy]` in the root `Cargo.toml`.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,20 +38,17 @@ pub mod coverage;
 pub mod detect;
 pub mod diag;
 mod exec;
-pub mod lint;
 pub mod mc;
 pub mod prove;
 
 pub use coverage::{analyze, site_covered, CheckerModel, CoverageStats};
 pub use detect::{detect_all, DetectStats};
 pub use diag::{Diagnostic, Pass, Severity};
-pub use lint::{run_lint, LintStats};
 pub use mc::{model_check, McStats};
 pub use prove::{prove_all, ConeProof};
 
 use noc_types::config::NocConfig;
 use serde::Serialize;
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Version of the JSON report layout emitted by `--json` (and pinned by
@@ -61,7 +58,8 @@ use std::time::{Duration, Instant};
 /// * 1 — coverage / proofs / lint.
 /// * 2 — `schema_version` itself, the `detect` (static detectability)
 ///   and `model` (recovery-plane model checking) passes, `--jobs`.
-pub const SCHEMA_VERSION: u32 = 2;
+/// * 3 — the `lint` key is gone (the abort rule moved to clippy).
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The canonical configuration the acceptance criteria pin: the paper's
 /// 8×8 mesh with 2 VCs per port (the smallest point of the paper's 2–8 VC
@@ -126,8 +124,6 @@ pub struct Report {
     pub detect: Option<DetectStats>,
     /// Pass-4 statistics (present unless the pass was skipped).
     pub model: Option<McStats>,
-    /// Pass-5 statistics (present unless the pass was skipped).
-    pub lint: Option<LintStats>,
     /// Diagnostic counts by severity.
     pub counts: SeverityCounts,
     /// All diagnostics, in pass order.
@@ -145,8 +141,6 @@ pub struct PassSelection {
     pub detect: bool,
     /// Run pass 4 (recovery-plane model checking).
     pub model: bool,
-    /// Run pass 5 (lint).
-    pub lint: bool,
 }
 
 impl Default for PassSelection {
@@ -156,7 +150,6 @@ impl Default for PassSelection {
             prove: true,
             detect: true,
             model: true,
-            lint: true,
         }
     }
 }
@@ -169,9 +162,9 @@ impl Report {
 
     /// The stable subset of the report the snapshot test pins: config,
     /// coverage statistics, proofs and the error count. Volatile fields
-    /// (scanned-file counts, info/warning diagnostics whose line numbers
-    /// move with every edit) are excluded so the snapshot only changes
-    /// when the *verified claims* change.
+    /// (the per-site detectability table, info/warning diagnostics) are
+    /// excluded so the snapshot only changes when the *verified claims*
+    /// change.
     pub fn snapshot(&self) -> serde_json::Value {
         use serde::Serialize as _;
         use serde_json::Value;
@@ -182,8 +175,8 @@ impl Report {
             .map(ToString::to_string)
             .collect();
         // The detectability aggregates are pinned, but the per-site table
-        // (thousands of entries whose only churn is volume) is not — like
-        // the lint's file counts, it is `--json`-only.
+        // (thousands of entries whose only churn is volume) is not; it is
+        // `--json`-only.
         let detect = match self.detect.to_value() {
             Value::Object(pairs) => {
                 Value::Object(pairs.into_iter().filter(|(k, _)| k != "per_site").collect())
@@ -215,8 +208,6 @@ impl Report {
 /// identical across `--jobs` settings).
 pub fn run(
     cfg: &NocConfig,
-    root: &Path,
-    allowlist: &Path,
     passes: PassSelection,
     jobs: usize,
     mut timings: Option<&mut Vec<(&'static str, Duration)>>,
@@ -266,15 +257,6 @@ pub fn run(
     } else {
         None
     };
-    let lint = if passes.lint {
-        let t0 = Instant::now();
-        let (d, s) = lint::run_lint(root, allowlist);
-        diagnostics.extend(d);
-        timed("lint", t0, &mut timings);
-        Some(s)
-    } else {
-        None
-    };
     let mut counts = SeverityCounts::default();
     for d in &diagnostics {
         match d.severity {
@@ -290,23 +272,8 @@ pub fn run(
         proofs,
         detect,
         model,
-        lint,
         counts,
         diagnostics,
-    }
-}
-
-/// Locates the repository root by walking upward from `start` until a
-/// directory containing the signal catalogue is found.
-pub fn find_repo_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = start.to_path_buf();
-    loop {
-        if dir.join("crates/noc-types/src/site.rs").is_file() {
-            return Some(dir);
-        }
-        if !dir.pop() {
-            return None;
-        }
     }
 }
 
@@ -327,14 +294,11 @@ mod tests {
         let cfg = NocConfig::small_test();
         let r = run(
             &cfg,
-            Path::new("/nonexistent"),
-            Path::new("/nonexistent/noc-lint.allow"),
             PassSelection {
                 coverage: true,
                 prove: false,
                 detect: false,
                 model: false,
-                lint: false,
             },
             1,
             None,
@@ -343,7 +307,6 @@ mod tests {
         assert!(r.proofs.is_empty());
         assert!(r.detect.is_none());
         assert!(r.model.is_none());
-        assert!(r.lint.is_none());
         assert!(r.clean(), "{:#?}", r.diagnostics);
         assert_eq!(r.schema_version, SCHEMA_VERSION);
     }
@@ -351,18 +314,10 @@ mod tests {
     #[test]
     fn snapshot_excludes_volatile_fields() {
         let cfg = NocConfig::small_test();
-        let r = run(
-            &cfg,
-            Path::new("/nonexistent"),
-            Path::new("/nonexistent/noc-lint.allow"),
-            PassSelection::default(),
-            1,
-            None,
-        );
+        let r = run(&cfg, PassSelection::default(), 1, None);
         let s = serde_json::to_string(&r.snapshot()).unwrap_or_default();
         assert!(s.contains("\"config\""));
         assert!(s.contains("\"schema_version\""));
-        assert!(!s.contains("files_scanned"), "{s}");
         // Quoted: `min_constrainers_per_site` legitimately contains the
         // substring; only the per-site *table key* must be absent.
         assert!(!s.contains("\"per_site\""), "{s}");
@@ -374,14 +329,11 @@ mod tests {
         let mut timings = Vec::new();
         let r = run(
             &cfg,
-            Path::new("/nonexistent"),
-            Path::new("/nonexistent/noc-lint.allow"),
             PassSelection {
                 coverage: true,
                 prove: false,
                 detect: true,
                 model: true,
-                lint: false,
             },
             2,
             Some(&mut timings),

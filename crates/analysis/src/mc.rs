@@ -1,4 +1,4 @@
-//! Pass 5 — explicit-state model checking of the recovery plane.
+//! Pass 4 — explicit-state model checking of the recovery plane.
 //!
 //! The survival story of DESIGN.md §11 rests on two small state machines:
 //! the per-VC **escalation ladder** (squash → reset → quarantine,

@@ -3,32 +3,20 @@
 //!
 //! The snapshot freezes the *verified claims* — configuration, coverage
 //! statistics, proof case counts and the (empty) error list — while
-//! excluding volatile fields like scanned-file counts and info-level
-//! diagnostics whose line numbers move with every edit. To regenerate
-//! after an intentional change:
+//! excluding volatile fields like the per-site detectability table and
+//! info-level diagnostics. To regenerate after an intentional change:
 //!
 //! ```text
 //! NOC_LINT_BLESS=1 cargo test -p nocalert-analysis --test snapshot
 //! ```
 
-use nocalert_analysis::{canonical_config, find_repo_root, run, PassSelection, SCHEMA_VERSION};
+use nocalert_analysis::{canonical_config, run, PassSelection, SCHEMA_VERSION};
 use std::path::Path;
 
 #[test]
 fn canonical_json_report_matches_committed_snapshot() {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = match find_repo_root(manifest) {
-        Some(r) => r,
-        None => panic!("repository root not found from {manifest:?}"),
-    };
-    let report = run(
-        &canonical_config(),
-        &root,
-        &root.join("noc-lint.allow"),
-        PassSelection::default(),
-        1,
-        None,
-    );
+    let report = run(&canonical_config(), PassSelection::default(), 1, None);
     assert!(report.clean(), "{:#?}", report.diagnostics);
     assert_eq!(report.schema_version, SCHEMA_VERSION);
 

@@ -2,6 +2,8 @@
 //! exists (exit 1, fewer epochs journalled), and `--resume` after the
 //! file is removed finishes to the same JSON as an uninterrupted run.
 
+#![allow(clippy::expect_used)]
+
 use std::ffi::OsStr;
 use std::path::Path;
 use std::process::Command;

@@ -4,6 +4,8 @@
 //! the JSON of an uninterrupted run, and the JSON does not depend on
 //! `--threads`.
 
+#![allow(clippy::expect_used, clippy::panic)]
+
 use std::ffi::OsStr;
 use std::path::Path;
 use std::process::Command;

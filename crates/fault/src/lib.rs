@@ -39,9 +39,6 @@ use noc_sim::{Network, Observer};
 use noc_types::geometry::{Direction, NodeId};
 use noc_types::site::{FaultKind, SiteRef};
 use noc_types::{Cycle, NocConfig};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// One fault injection: where, how, and when.
@@ -198,7 +195,7 @@ pub fn enumerate_sites(cfg: &NocConfig) -> Vec<SiteRef> {
     noc_sim::enumerate_all_sites(cfg)
 }
 
-/// Deterministic site sub-sampling strategies for laptop-scale campaigns.
+/// Deterministic site sub-sampling for laptop-scale campaigns.
 pub mod sample {
     use super::*;
 
@@ -213,17 +210,6 @@ pub mod sample {
         }
         let k = sites.len().div_ceil(n);
         sites.iter().copied().step_by(k).collect()
-    }
-
-    /// `n` sites drawn without replacement with a seeded RNG (stable
-    /// across runs and platforms).
-    pub fn random(sites: &[SiteRef], n: usize, seed: u64) -> Vec<SiteRef> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut v = sites.to_vec();
-        v.shuffle(&mut rng);
-        v.truncate(n);
-        v.sort_unstable();
-        v
     }
 }
 
@@ -508,18 +494,6 @@ mod tests {
         assert!(s.last().unwrap().router >= sites.last().unwrap().router / 2);
         assert!(sample::stride(&sites, 0).is_empty());
         assert_eq!(sample::stride(&sites, usize::MAX).len(), sites.len());
-    }
-
-    #[test]
-    fn random_sampling_is_deterministic() {
-        let cfg = NocConfig::small_test();
-        let sites = enumerate_sites(&cfg);
-        let a = sample::random(&sites, 50, 42);
-        let b = sample::random(&sites, 50, 42);
-        let c = sample::random(&sites, 50, 43);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.len(), 50);
     }
 
     #[test]

@@ -238,6 +238,10 @@ impl Forever {
             if top.arrival > cycle {
                 break;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the heap was just peeked non-empty; failure is substrate corruption"
+            )]
             let n = self.notifications.pop().expect("peeked");
             self.counters[n.dest.index()] += n.flits as i64;
         }

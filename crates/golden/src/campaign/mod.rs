@@ -207,6 +207,10 @@ impl Campaign {
     /// # Panics
     ///
     /// Panics where [`Campaign::try_new`] would return an error.
+    #[expect(
+        clippy::panic,
+        reason = "constructor contract, documented under `# Panics`"
+    )]
     pub fn new(cc: CampaignConfig) -> Campaign {
         match Campaign::try_new(cc) {
             Ok(c) => c,

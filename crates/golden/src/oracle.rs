@@ -102,6 +102,10 @@ impl GoldenReference {
     /// Panics if `drained` is false — a fault-free run that deadlocks means
     /// the simulator substrate itself is broken, and no classification
     /// made against it would be meaningful.
+    #[expect(
+        clippy::panic,
+        reason = "constructor contract, documented under `# Panics`"
+    )]
     pub fn from_log(log: &RunLog, drained: bool) -> GoldenReference {
         match GoldenReference::try_from_log(log, drained) {
             Ok(gr) => gr,

@@ -165,11 +165,6 @@ impl Adversary {
         }
     }
 
-    /// The spec this attacker was armed from.
-    pub fn spec(&self) -> AttackSpec {
-        self.spec
-    }
-
     /// Interference counters so far.
     pub fn stats(&self) -> AttackStats {
         self.stats

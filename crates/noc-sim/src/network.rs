@@ -277,6 +277,10 @@ impl Network {
     ///
     /// Panics if `cfg.validate()` fails — constructing a simulator from an
     /// inconsistent configuration is a programming error.
+    #[expect(
+        clippy::panic,
+        reason = "constructor contract, documented under `# Panics`"
+    )]
     pub fn new(cfg: NocConfig) -> Network {
         match Network::try_new(cfg) {
             Ok(net) => net,
@@ -404,16 +408,6 @@ impl Network {
         }
         self.attacker = Some(Adversary::new(*spec, self.cfg.vcs_per_port));
         Ok(())
-    }
-
-    /// Removes the armed attacker (its accumulated stats are discarded).
-    pub fn disarm_attack(&mut self) {
-        self.attacker = None;
-    }
-
-    /// The armed attacker's spec, if any.
-    pub fn attack_spec(&self) -> Option<AttackSpec> {
-        self.attacker.as_ref().map(Adversary::spec)
     }
 
     /// Interference counters of the armed attacker (zeros when none).

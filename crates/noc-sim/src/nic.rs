@@ -355,6 +355,10 @@ impl Nic {
             }
             let Some(idx) = found else { break };
             self.eject_next = (idx + 1) % v;
+            #[expect(
+                clippy::expect_used,
+                reason = "the scan above found this VC non-empty; failure is substrate corruption"
+            )]
             let flit = self.eject[idx as usize]
                 .pop_front()
                 .expect("round-robin scan selected a non-empty eject VC");

@@ -361,11 +361,6 @@ impl Router {
         &self.inputs[port as usize][vc as usize]
     }
 
-    /// Immutable view of an output port (diagnostics and tests).
-    pub fn output_port(&self, port: u8) -> &OutputPort {
-        &self.outputs[port as usize]
-    }
-
     /// Total flits buffered in this router (input buffers only).
     pub fn buffered_flits(&self) -> usize {
         self.inputs
@@ -790,6 +785,10 @@ impl Router {
                 }
             }
             let Some(src_p) = first else { continue };
+            #[expect(
+                clippy::expect_used,
+                reason = "`first` is set only for a row holding a flit; failure is substrate corruption"
+            )]
             let (mut flit, src_v) = scratch.row_flit[src_p as usize]
                 .expect("src_p was selected only among rows holding a flit");
             if extra {
@@ -1084,6 +1083,10 @@ impl Router {
                 if (va2_req[o as usize] >> p) & 1 == 0 {
                     continue;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a VA2 request is raised only with its candidate; failure is substrate corruption"
+                )]
                 let v = va2_cand[o as usize][p as usize].expect("request implies candidate");
                 let class = cfg.class_of_vc(v);
                 let (lo, hi) = cfg.vc_range_of_class(class);
@@ -1304,6 +1307,10 @@ impl Router {
                 if !wr {
                     continue;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`addressed` is true only with a link arrival; failure is substrate corruption"
+                )]
                 let flit = if addressed {
                     arrival
                         .expect("addressed implies a link arrival this cycle")

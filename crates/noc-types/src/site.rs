@@ -400,6 +400,17 @@ mod tests {
         }
     }
 
+    /// `ALL` lists every variant once, in discriminant order: a variant
+    /// dropped from the middle shifts every later entry, and one dropped
+    /// from the end shortens the array.
+    #[test]
+    fn signal_catalogue_is_in_discriminant_order() {
+        for (i, s) in SignalKind::ALL.iter().enumerate() {
+            assert_eq!(*s as usize, i, "SignalKind::ALL[{i}] is {s:?}");
+        }
+        assert_eq!(SignalKind::ALL.len(), SignalKind::BufHeadKind as usize + 1);
+    }
+
     #[test]
     fn module_addressing_properties() {
         assert!(ModuleClass::VcState.per_vc());

@@ -27,7 +27,8 @@
 //!   [`golden::GoldenCache`] keyed by configuration, so concurrent jobs
 //!   with the same configuration pay the warm-up once.
 //!
-//! The crate is hot-path lint clean: no panics, no `unwrap` — every
+//! The crate keeps the workspace's hot-path abort rule (clippy) with no
+//! exemption: no panics, no `unwrap` — every
 //! fallible path returns a structured error to the client or the log.
 
 #![forbid(unsafe_code)]

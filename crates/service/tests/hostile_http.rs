@@ -1,14 +1,17 @@
 //! Hostile-input test of the HTTP request parser: seeded byte mutations
 //! of the requests `nocalertd` serves, each sent over a loopback
 //! connection to [`http::read_request`], must come back as a request
-//! within the body cap or as a 400, 413 or 431 error, never a panic.
+//! within the body cap or as a 400, 413 or 431 error, never a panic, and
+//! each of the three errors must occur.
 //!
 //! The mutator is the fixed-seed splitmix64 stream of the workspace's
-//! `tests/hostile_input.rs` (any byte value, five edits: bit flip,
-//! insert, delete, duplicate, truncate), so every run checks the same
-//! cases and a failure names a reproducible case number.
+//! `tests/hostile_input.rs` (any byte value; bit flip, insert, delete,
+//! duplicate and truncate edits, plus two that reach the caps: a header
+//! line repeated past [`MAX_HEADER_LINE`] and a `Content-Length` above
+//! [`MAX_BODY`]), so every run checks the same cases and a failure names
+//! a reproducible case number.
 
-use nocalert_service::http::{self, MAX_BODY};
+use nocalert_service::http::{self, MAX_BODY, MAX_HEADER_LINE};
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -85,7 +88,7 @@ impl Mutator {
 
     fn edit(&mut self, b: &mut Vec<u8>) {
         let len = b.len();
-        match self.below(5) {
+        match self.below(7) {
             // Bit flip.
             0 if len > 0 => {
                 let i = self.below(len);
@@ -121,10 +124,53 @@ impl Mutator {
                 };
                 b.splice(to..to, copy);
             }
+            // Repeat a line of the head until it is longer than the
+            // header-line cap.
+            4 => {
+                let head_end = find(b, b"\r\n\r\n").unwrap_or(len);
+                let at = self.below(head_end + 1);
+                let start = b[..at]
+                    .iter()
+                    .rposition(|&c| c == b'\n')
+                    .map_or(0, |i| i + 1);
+                let end = b[start..]
+                    .iter()
+                    .position(|&c| c == b'\r' || c == b'\n')
+                    .map_or(len, |i| start + i);
+                let line = if start < end {
+                    b[start..end].to_vec()
+                } else {
+                    b"X-Pad: x".to_vec()
+                };
+                b.splice(end..end, line.repeat(MAX_HEADER_LINE / line.len() + 1));
+            }
+            // Declare a body over the cap: rewrite the `Content-Length`
+            // value, or add the header after the request line.
+            5 => {
+                let header = format!("Content-Length: {}", MAX_BODY + 1 + self.below(MAX_BODY));
+                match find(b, b"Content-Length:") {
+                    Some(at) => {
+                        let end = b[at..]
+                            .iter()
+                            .position(|&c| c == b'\r' || c == b'\n')
+                            .map_or(len, |i| at + i);
+                        b.splice(at..end, header.into_bytes());
+                    }
+                    None => {
+                        let at = b.iter().position(|&c| c == b'\n').map_or(0, |i| i + 1);
+                        b.splice(at..at, format!("{header}\r\n").into_bytes());
+                    }
+                }
+            }
             // Truncate.
             _ => b.truncate(self.below(len + 1)),
         }
     }
+}
+
+/// Offset of the first occurrence of `needle` in `haystack`.
+fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    haystack.windows(needle.len()).position(|w| w == needle)
 }
 
 #[test]
@@ -148,6 +194,7 @@ fn mutated_requests_parse_or_fail_with_a_4xx_never_panic() {
     }
     let mut m = Mutator { state: 0x5EED_0003 };
     let mut parsed = 0;
+    let mut statuses = std::collections::BTreeMap::<u16, usize>::new();
     for case in 0..CASES {
         let bytes = m.mutate(&seeds[case % seeds.len()]);
         let input = || String::from_utf8_lossy(&bytes).into_owned();
@@ -157,13 +204,22 @@ fn mutated_requests_parse_or_fail_with_a_4xx_never_panic() {
                 assert!(req.body.len() <= MAX_BODY, "case {case}: body over the cap");
                 parsed += 1;
             }
-            Ok(Err(e)) => assert!(
-                [400, 413, 431].contains(&e.status),
-                "case {case}: {e} on input {:?}",
-                input()
-            ),
+            Ok(Err(e)) => {
+                assert!(
+                    [400, 413, 431].contains(&e.status),
+                    "case {case}: {e} on input {:?}",
+                    input()
+                );
+                *statuses.entry(e.status).or_default() += 1;
+            }
         }
     }
-    // Both outcomes occur, so the sample reaches past the first byte.
+    // Both outcomes occur, so the sample reaches past the first byte, and
+    // every error status occurs, so the caps are exercised.
     assert!(0 < parsed && parsed < CASES, "{parsed} of {CASES}");
+    assert_eq!(
+        statuses.keys().copied().collect::<Vec<_>>(),
+        [400, 413, 431],
+        "{statuses:?}"
+    );
 }

@@ -9,6 +9,8 @@
 //! so the kill is a genuine SIGKILL mid-campaign — exactly the failure
 //! the JSONL checkpoint substrate is built to survive.
 
+#![allow(clippy::expect_used)]
+
 use golden::JobDriver;
 use noc_types::{JobKind, JobSpec, NocConfig};
 use nocalert_service::http;

@@ -6,6 +6,8 @@
 //! Run with: `cargo run --release --example fault_campaign -- [n_sites] [warmup]`
 //! (defaults: 200 sites, warm-up 0 — the paper's "cycle 0" instant).
 
+#![allow(clippy::unwrap_used)]
+
 use golden::stats;
 use nocalert_repro::prelude::*;
 

@@ -10,6 +10,8 @@
 //! watchdog-truncated rollout that abandons the arena mid-flight), and
 //! require the serialized results to match byte for byte.
 
+#![allow(clippy::expect_used)]
+
 use fault::{enumerate_sites, FaultSpec, Watchdog};
 use golden::{Campaign, CampaignConfig, RunResult};
 use noc_types::NocConfig;

@@ -7,6 +7,8 @@
 //! reproduces the exact aggregates of an uninterrupted run for any
 //! worker count.
 
+#![allow(clippy::unreachable)]
+
 use fault::{FaultSpec, HangKind, Watchdog};
 use golden::stats::breakdown;
 use golden::{Campaign, CampaignConfig, Detector, ResilienceOptions, RunOutcome};

@@ -27,6 +27,8 @@
 //! `first_alert_at` fields for service incident clustering (purely
 //! additive; every simulation figure stayed bit-identical).
 
+#![allow(clippy::expect_used, clippy::panic)]
+
 use fault::FaultSpec;
 use golden::stats::{breakdown, checker_shares, latency_cdf, simultaneity_cdf};
 use golden::{

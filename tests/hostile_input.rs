@@ -1,14 +1,19 @@
-//! Hostile-input tests: seeded byte mutations of the two inputs the
-//! system reads from outside — a job spec submitted to `nocalertd` and a
-//! journal shard read back on resume — must each come back as `Ok` or a
-//! structured error, never a panic.
+//! Hostile-input tests: seeded byte mutations of what the system reads
+//! from outside — a job spec submitted to `nocalertd`, an attack cell
+//! with its co-fault, and a journal shard read back on resume — must each
+//! come back as `Ok` or a structured error, never a panic.
 //!
 //! The mutator is a fixed-seed splitmix64 stream driving five edits (bit
 //! flip, insert, delete, duplicate, truncate), so every run checks the
 //! same cases and a failure names a reproducible case number.
 
+#![allow(clippy::expect_used, clippy::panic)]
+
 use fault::{FaultSpec, Watchdog};
-use golden::{Campaign, CampaignConfig, Journal, ResilienceOptions, SiteReport};
+use golden::{
+    standard_cells, AttackCell, Campaign, CampaignConfig, Journal, ResilienceOptions, SiteReport,
+};
+use noc_sim::Network;
 use noc_types::site::FaultKind;
 use noc_types::{JobSpec, NocConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -147,6 +152,44 @@ fn mutated_job_specs_are_accepted_or_rejected_never_panic() {
         accepted += usize::from(no_panic(case, &body, || accept_job(&body)));
     }
     // Both outcomes occur, so the sample reaches past the first byte.
+    assert!(0 < accepted && accepted < CASES, "{accepted} of {CASES}");
+}
+
+/// Parses an attack cell, then validates its attacker against the mesh
+/// and its co-fault against a network built from it.
+fn accept_cell(text: &[u8], noc: &NocConfig, net: &Network) -> bool {
+    let Ok(text) = std::str::from_utf8(text) else {
+        return false;
+    };
+    serde_json::from_str::<AttackCell>(text).is_ok_and(|cell| {
+        cell.spec.validate(noc).is_ok() && cell.fault.is_none_or(|f| f.validate_in(net).is_ok())
+    })
+}
+
+#[test]
+fn mutated_attack_cells_are_accepted_or_rejected_never_panic() {
+    let noc = serde_json::from_str::<JobSpec>(CI_SPEC)
+        .expect("the seed spec parses")
+        .noc;
+    let net = Network::new(noc.clone());
+    let routers: Vec<u16> = (0..noc.mesh.len() as u16).collect();
+    let seeds: Vec<String> = standard_cells(&noc, &routers, 2, 300, 1)
+        .iter()
+        .map(|c| serde_json::to_string(c).expect("a cell serializes"))
+        .collect();
+    assert!(seeds.iter().any(|s| s.contains("\"fault\":{")));
+    for s in &seeds {
+        assert!(
+            accept_cell(s.as_bytes(), &noc, &net),
+            "seed cell {s} must be valid"
+        );
+    }
+    let mut m = Mutator::new(0x5EED_0004, true);
+    let mut accepted = 0;
+    for case in 0..CASES {
+        let text = m.mutate(seeds[case % seeds.len()].as_bytes());
+        accepted += usize::from(no_panic(case, &text, || accept_cell(&text, &noc, &net)));
+    }
     assert!(0 < accepted && accepted < CASES, "{accepted} of {CASES}");
 }
 

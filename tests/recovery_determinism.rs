@@ -4,6 +4,8 @@
 //! fires and degraded-routing choices are all part of the simulated
 //! machine, so nothing about a rerun may depend on host state.
 
+#![allow(clippy::expect_used)]
+
 use fault::{FaultSpec, Watchdog};
 use golden::{RecoveryCampaign, RecoveryCampaignConfig, RecoveryOptions};
 use noc_types::NocConfig;

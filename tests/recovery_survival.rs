@@ -7,6 +7,8 @@
 //! (`--smoke` gates CI); this test pins a deterministic sample so a
 //! regression in any layer of the loop fails `cargo test` directly.
 
+#![allow(clippy::expect_used)]
+
 use fault::{FaultSpec, Watchdog};
 use golden::{
     containment_covered, DeliveryVerdict, RecoveryCampaign, RecoveryCampaignConfig,
